@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .ilup import IlupFactors
 from .sparse_core import (
@@ -107,8 +108,10 @@ def assemble_s_dense(pre: "RowSplitPreconditioner") -> DenseMatrix:
 class RowSplitPreconditioner:
     """Applied form of the row-splitting preconditioner.
 
-    Immutable once built; apply() is pure and safe to call from
-    multiple threads.  psize counts every stored entry used in the
+    Immutable once built.  apply() returns the same result for the same
+    input and is safe to call from multiple threads; its first call
+    caches compiled triangular solvers on the factors (concurrent first
+    calls may each build one).  psize counts every stored entry used in the
     application: the three factors, Y when explicit, and the dense
     triangle of the S factor when present.
     """
@@ -240,7 +243,7 @@ class RowSplitPreconditioner:
             y_dense[ypat] = yval
             c = matvec(self.Y, y_dense)  # couplings with the existing rows
             diag = 1.0 + y_dense @ y_dense
-            cp = _dense_forward(self.S_factor.a, c)
+            cp = solve_triangular(self.S_factor.a, c, lower=True, check_finite=False)
             d_sq = diag - cp @ cp
             if d_sq <= 0.0:
                 raise UpdateFailedError("bordered pivot not positive; refactorization needed")
@@ -269,16 +272,6 @@ class RowSplitPreconditioner:
         needs refactorization logic this library does not carry.
         """
         raise NotImplementedError("row removal requires refactorization")
-
-
-def _dense_forward(g, b):
-    """Forward substitution with a dense lower-triangular factor."""
-    x = np.array(b, dtype=np.float64, copy=True)
-    for j in range(len(x)):
-        x[j] /= g[j, j]
-        if j + 1 < len(x):
-            x[j + 1:] -= g[j + 1:, j] * x[j]
-    return x
 
 
 def _cg_fixed_steps(op, u, iters):

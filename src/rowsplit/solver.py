@@ -142,11 +142,14 @@ def pcgls(
     Stops when the delayed error estimate drives the stopping ratio
     below cfg.delta, at the iteration cap, or when no direction makes
     progress; the last case is reported as breakdown unless the
-    remaining partial estimates already certify convergence.
+    remaining partial estimates already certify convergence.  Raises
+    ValueError when b has the wrong length or a non-finite entry.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.nrows,):
         raise ValueError("right-hand side length mismatch")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has non-finite entries")
     n = A.ncols
     d = cfg.estimator_delay
     b_norm = float(np.linalg.norm(b))

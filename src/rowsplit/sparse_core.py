@@ -4,8 +4,11 @@ Everything downstream (factorization, preconditioning, the iterative
 solver) works with the types defined here: CscMatrix for sparse data,
 DenseMatrix for small dense blocks, Permutation for row reorderings and
 ColumnScaling for the unit-column-norm prescaling.  All values are
-float64; all index arrays are int64.  Matrices are immutable once built
-and the kernels are pure functions, so everything is safe to share.
+float64; all index arrays are int64.  The kernels hand the work to
+scipy: products go through a scipy CSC view, triangular solves through
+a SuperLU object and dense Cholesky through LAPACK.  A CscMatrix builds
+these compiled forms on first use and caches them, so its arrays must
+not be mutated after it has been used in a kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 
 class MatrixMarketError(ValueError):
@@ -29,10 +35,12 @@ class CscMatrix:
 
     Within each column the row indices are strictly increasing and no
     explicit zeros are stored.  Use ``validate()`` to check both after
-    hand-constructing one.
+    hand-constructing one.  The kernels cache compiled forms of the
+    matrix (a scipy view, SuperLU objects) on first use, so treat it as
+    immutable: never write to its arrays once it has been used.
     """
 
-    __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values")
+    __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "_compiled")
 
     def __init__(self, nrows, ncols, col_ptr, row_idx, values):
         self.nrows = int(nrows)
@@ -40,6 +48,19 @@ class CscMatrix:
         self.col_ptr = np.asarray(col_ptr, dtype=np.int64)
         self.row_idx = np.asarray(row_idx, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
+        self._compiled = {}
+
+    def _scipy(self, transpose=False):
+        """scipy view of the same arrays, or of its transpose; built on first use."""
+        key = "transpose" if transpose else "csc"
+        view = self._compiled.get(key)
+        if view is None:
+            view = sp.csc_array((self.values, self.row_idx, self.col_ptr),
+                                shape=(self.nrows, self.ncols))
+            if transpose:
+                view = view.T
+            self._compiled[key] = view
+        return view
 
     @property
     def nnz(self) -> int:
@@ -108,6 +129,8 @@ class CscMatrix:
     @staticmethod
     def from_dense(a, drop_below=0.0):
         a = np.asarray(a, dtype=np.float64)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("dense matrix has non-finite entries")
         rows, cols = np.nonzero(np.abs(a) > drop_below)
         return CscMatrix.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
 
@@ -214,11 +237,7 @@ def matvec(A: CscMatrix, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.ncols,):
         raise ValueError(f"x has length {x.shape}, expected ({A.ncols},)")
-    y = np.zeros(A.nrows)
-    if A.nnz:
-        contrib = A.values * np.repeat(x, A.column_counts())
-        np.add.at(y, A.row_idx, contrib)
-    return y
+    return A._scipy() @ x
 
 
 def matvec_transpose(A: CscMatrix, y) -> np.ndarray:
@@ -226,13 +245,7 @@ def matvec_transpose(A: CscMatrix, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (A.nrows,):
         raise ValueError(f"y has length {y.shape}, expected ({A.nrows},)")
-    z = np.zeros(A.ncols)
-    if A.nnz:
-        prod = A.values * y[A.row_idx]
-        starts = A.col_ptr[:-1]
-        nonempty = starts < A.col_ptr[1:]
-        z[nonempty] = np.add.reduceat(prod, starts[nonempty])
-    return z
+    return A._scipy(transpose=True) @ y
 
 
 # ---------------------------------------------------------------------------
@@ -247,77 +260,58 @@ def sparse_lower_solve(L: CscMatrix, b, unit_diag=False) -> np.ndarray:
     sub-diagonal entries may be stored; otherwise the diagonal must be
     the first stored entry of each column.
     """
-    _check_square(L, b)
-    x = np.array(b, dtype=np.float64, copy=True)
-    ptr, rows, vals = L.col_ptr, L.row_idx, L.values
-    for j in range(L.ncols):
-        lo, hi = ptr[j], ptr[j + 1]
-        if not unit_diag:
-            if hi == lo or rows[lo] != j or vals[lo] == 0.0:
-                raise np.linalg.LinAlgError(f"missing or zero diagonal in column {j}")
-            x[j] /= vals[lo]
-            lo += 1
-        xj = x[j]
-        if xj != 0.0 and hi > lo:
-            x[rows[lo:hi]] -= vals[lo:hi] * xj
-    return x
+    return _triangular_solve(L, b, "unit" if unit_diag else "lower", "N")
 
 
 def sparse_upper_solve(U: CscMatrix, b) -> np.ndarray:
     """Back substitution U x = b; the diagonal must be stored."""
-    _check_square(U, b)
-    x = np.array(b, dtype=np.float64, copy=True)
-    ptr, rows, vals = U.col_ptr, U.row_idx, U.values
-    for j in range(U.ncols - 1, -1, -1):
-        lo, hi = ptr[j], ptr[j + 1]
-        if hi == lo or rows[hi - 1] != j or vals[hi - 1] == 0.0:
-            raise np.linalg.LinAlgError(f"missing or zero diagonal in column {j}")
-        x[j] /= vals[hi - 1]
-        xj = x[j]
-        if xj != 0.0 and hi - 1 > lo:
-            x[rows[lo:hi - 1]] -= vals[lo:hi - 1] * xj
-    return x
+    return _triangular_solve(U, b, "upper", "N")
 
 
 def sparse_lower_solve_transpose(L: CscMatrix, b, unit_diag=False) -> np.ndarray:
-    """Solve L.T x = b using L's own storage (no transpose built)."""
-    _check_square(L, b)
-    x = np.array(b, dtype=np.float64, copy=True)
-    ptr, rows, vals = L.col_ptr, L.row_idx, L.values
-    for j in range(L.ncols - 1, -1, -1):
-        lo, hi = ptr[j], ptr[j + 1]
-        if unit_diag:
-            if hi > lo:
-                x[j] -= vals[lo:hi] @ x[rows[lo:hi]]
-        else:
-            if hi == lo or rows[lo] != j or vals[lo] == 0.0:
-                raise np.linalg.LinAlgError(f"missing or zero diagonal in column {j}")
-            if hi > lo + 1:
-                x[j] -= vals[lo + 1:hi] @ x[rows[lo + 1:hi]]
-            x[j] /= vals[lo]
-    return x
+    """Solve L.T x = b with the same factor object as sparse_lower_solve."""
+    return _triangular_solve(L, b, "unit" if unit_diag else "lower", "T")
 
 
 def sparse_upper_solve_transpose(U: CscMatrix, b) -> np.ndarray:
-    """Solve U.T x = b using U's own storage."""
-    _check_square(U, b)
-    x = np.array(b, dtype=np.float64, copy=True)
-    ptr, rows, vals = U.col_ptr, U.row_idx, U.values
-    for j in range(U.ncols):
-        lo, hi = ptr[j], ptr[j + 1]
-        if hi == lo or rows[hi - 1] != j or vals[hi - 1] == 0.0:
-            raise np.linalg.LinAlgError(f"missing or zero diagonal in column {j}")
-        if hi - 1 > lo:
-            x[j] -= vals[lo:hi - 1] @ x[rows[lo:hi - 1]]
-        x[j] /= vals[hi - 1]
-    return x
+    """Solve U.T x = b with the same factor object as sparse_upper_solve."""
+    return _triangular_solve(U, b, "upper", "T")
 
 
-def _check_square(T, b):
+def _triangular_solve(T: CscMatrix, b, kind, trans) -> np.ndarray:
     if T.nrows != T.ncols:
         raise ValueError("triangular solve needs a square matrix")
     if np.shape(b) != (T.ncols,):
         raise ValueError("right-hand side length mismatch")
+    return _triangular_factor(T, kind).solve(np.asarray(b, dtype=np.float64), trans=trans)
+
+
+def _triangular_factor(T: CscMatrix, kind):
+    """SuperLU object solving with T, built and cached on first use.
+
+    kind "unit" factors T plus the identity; "lower" and "upper" factor
+    T itself after checking that every diagonal entry is stored (first
+    in its column for lower, last for upper) and nonzero.  With the
+    natural ordering and no pivoting, the triangular T is its own LU
+    factor, so a solve is one forward or back substitution.  A failed
+    check caches no solver, so every call raises it again.
+    """
+    lu = T._compiled.get(kind)
+    if lu is None:
+        M, ptr = T._scipy(), T.col_ptr
+        if kind == "unit":
+            M = M + sp.eye_array(T.ncols, format="csc")
+        else:
+            at = ptr[:-1] if kind == "lower" else ptr[1:] - 1
+            ok = ptr[:-1] < ptr[1:]
+            ok[ok] = (T.row_idx[at[ok]] == np.flatnonzero(ok)) & (T.values[at[ok]] != 0.0)
+            if not ok.all():
+                j = int(np.flatnonzero(~ok)[0])
+                raise np.linalg.LinAlgError(f"missing or zero diagonal in column {j}")
+        lu = splu(M, permc_spec="NATURAL", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+        T._compiled[kind] = lu
+    return lu
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +518,8 @@ def read_matrix_market_ex(path):
         vals = table[:, 2]
         if np.any(rows != table[:, 0]) or np.any(cols != table[:, 1]):
             raise MatrixMarketError("non-integer row or column index")
+        if not np.all(np.isfinite(vals)):
+            raise MatrixMarketError("non-finite entry value")
 
     rows -= 1
     cols -= 1
@@ -585,38 +581,19 @@ def read_matrix_market_ex(path):
 def dense_cholesky_factorize(S: DenseMatrix) -> DenseMatrix:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
-    Unblocked right-looking sweep; only the lower triangle of S is
-    referenced.  Raises LinAlgError on a non-positive pivot.
+    LAPACK potrf on the lower triangle.  Raises LinAlgError when S has a
+    non-finite entry or is not positive definite.
     """
     if S.nrows != S.ncols:
         raise ValueError("Cholesky needs a square matrix")
-    g = np.array(S.a, order="F", copy=True)
-    s = S.nrows
-    for j in range(s):
-        d = g[j, j]
-        if d <= 0.0 or not np.isfinite(d):
-            raise np.linalg.LinAlgError(f"matrix is not positive definite (pivot {j})")
-        d = np.sqrt(d)
-        g[j, j] = d
-        if j + 1 < s:
-            g[j + 1:, j] /= d
-            g[j + 1:, j + 1:] -= np.outer(g[j + 1:, j], g[j + 1:, j])
-    return DenseMatrix(np.tril(g))
+    if not np.all(np.isfinite(S.a)):
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    return DenseMatrix(scipy.linalg.cholesky(S.a, lower=True, check_finite=False))
 
 
 def dense_cholesky_solve(factor: DenseMatrix, b) -> np.ndarray:
     """Solve S x = b given the lower Cholesky factor of S."""
-    g = factor.a
-    s = factor.nrows
-    x = np.array(b, dtype=np.float64, copy=True)
-    if x.shape != (s,):
+    if np.shape(b) != (factor.nrows,):
         raise ValueError("right-hand side length mismatch")
-    for j in range(s):
-        x[j] /= g[j, j]
-        if j + 1 < s:
-            x[j + 1:] -= g[j + 1:, j] * x[j]
-    for j in range(s - 1, -1, -1):
-        if j + 1 < s:
-            x[j] -= g[j + 1:, j] @ x[j + 1:]
-        x[j] /= g[j, j]
-    return x
+    return scipy.linalg.cho_solve((factor.a, True), np.asarray(b, dtype=np.float64),
+                                  check_finite=False)

@@ -1,0 +1,198 @@
+"""Property tests of the compiled kernels against dense scipy references."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rowsplit import (
+    CscMatrix,
+    DenseMatrix,
+    IlupParams,
+    SMode,
+    build_preconditioner,
+    column_scale,
+    dense_cholesky_factorize,
+    ilup_factorize,
+    read_matrix_market,
+    sparse_lower_solve,
+    sparse_lower_solve_transpose,
+    sparse_upper_solve,
+    sparse_upper_solve_transpose,
+)
+
+from conftest import rel_err, require_matrix, well_conditioned_split
+
+# (solve, lower, unit_diag, transposed)
+SOLVES = {
+    "lower": (lambda T, b: sparse_lower_solve(T, b), True, False, False),
+    "lower_unit": (lambda T, b: sparse_lower_solve(T, b, unit_diag=True), True, True, False),
+    "lower_t": (lambda T, b: sparse_lower_solve_transpose(T, b), True, False, True),
+    "lower_unit_t": (lambda T, b: sparse_lower_solve_transpose(T, b, unit_diag=True),
+                     True, True, True),
+    "upper": (sparse_upper_solve, False, False, False),
+    "upper_t": (sparse_upper_solve_transpose, False, False, True),
+}
+
+
+def random_triangular(rng, n, density, lower, unit_diag):
+    """Well-conditioned sparse triangular factor in the storage each solve expects."""
+    off = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < density) / max(n, 1)
+    off = np.tril(off, -1) if lower else np.triu(off, 1)
+    if unit_diag:
+        return off, off + np.eye(n)
+    diag = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    full = off + np.diag(diag)
+    return full, full
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(0, 60),
+    density=st.floats(0.0, 1.0),
+    kind=st.sampled_from(sorted(SOLVES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_triangular_solves_match_dense(n, density, kind, seed):
+    solve, lower, unit_diag, transposed = SOLVES[kind]
+    rng = np.random.default_rng(seed)
+    stored, full = random_triangular(rng, n, density, lower, unit_diag)
+    b = rng.standard_normal(n)
+    got = solve(CscMatrix.from_dense(stored), b)
+    want = scipy.linalg.solve_triangular(full, b, lower=lower, trans="T" if transposed else "N")
+    assert got.shape == (n,)
+    assert rel_err(got, want) <= 1e-12
+
+
+MISSING = CscMatrix(3, 3, [0, 1, 1, 2], [0, 2], [1.0, 1.0])  # column 1 is empty
+ZERO = CscMatrix(2, 2, [0, 1, 2], [0, 1], [1.0, 0.0])  # stored zero on the diagonal
+
+
+@pytest.mark.parametrize("kind", ["lower", "lower_t", "upper", "upper_t"])
+@pytest.mark.parametrize("bad", [MISSING, ZERO], ids=["missing", "zero"])
+def test_bad_diagonal_raises_on_every_call(kind, bad):
+    solve = SOLVES[kind][0]
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(bad, np.ones(bad.ncols))
+
+
+def test_second_solve_reuses_the_factor_object():
+    rng = np.random.default_rng(0)
+    stored, _ = random_triangular(rng, 20, 0.3, lower=True, unit_diag=True)
+    L = CscMatrix.from_dense(stored)
+    b = rng.standard_normal(20)
+    first = sparse_lower_solve(L, b, unit_diag=True)
+    lu = L._compiled["unit"]
+    sparse_lower_solve_transpose(L, b, unit_diag=True)
+    assert np.array_equal(sparse_lower_solve(L, b, unit_diag=True), first)
+    assert L._compiled["unit"] is lu
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.0, 2.0], [2.0, 1.0]],
+    [[1.0, 0.0], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+], ids=["indefinite", "nan", "inf"])
+def test_cholesky_rejects_indefinite_and_non_finite(bad):
+    with pytest.raises(np.linalg.LinAlgError):
+        dense_cholesky_factorize(DenseMatrix(np.array(bad)))
+
+
+LD = np.longdouble
+
+
+def _forward(L, b, unit):
+    """Column-oriented forward substitution in extended precision."""
+    x = np.array(b, dtype=LD)
+    for j in range(len(x)):
+        if not unit:
+            x[j] /= L[j, j]
+        x[j + 1:] -= L[j + 1:, j] * x[j]
+    return x
+
+
+def _backward(U, b, unit):
+    """Column-oriented back substitution in extended precision."""
+    x = np.array(b, dtype=LD)
+    for j in range(len(x) - 1, -1, -1):
+        if not unit:
+            x[j] /= U[j, j]
+        x[:j] -= U[:j, j] * x[j]
+    return x
+
+
+def dense_apply(pre, r1, r2):
+    """The preconditioner's formula evaluated densely in extended precision.
+
+    The factors, Y and the Cholesky factor of S are the preconditioner's
+    own.  On illc1850 the U and L1 solves together amplify a relative
+    change of their input by up to about 1e7 and S^{-1} by 1.6e6, so a
+    float64 dense evaluation differs from any other float64 evaluation by
+    about 2e-12 from summation order alone; in extended precision the
+    reference error is far below the kernels' own.
+    """
+    f = pre.factors
+    L1 = f.L1.to_dense().astype(LD)  # unit diagonal implicit
+    y = np.asarray(r1, dtype=LD)
+    if pre.s_mode is SMode.DENSE_FACTOR:
+        Y = pre.Y.to_dense().astype(LD)
+        G = pre.S_factor.a.astype(LD)
+        y = y + Y.T @ _backward(G.T, _forward(G, r2 - Y @ y, unit=False), unit=False)
+    elif pre.s_mode is SMode.IDENTITY:
+        L2 = f.L2.to_dense().astype(LD)
+        t = r2 - L2 @ _forward(L1, y, unit=True)
+        y = y + _backward(L1.T, L2.T @ t, unit=True)
+    v = _forward(L1, y, unit=True)
+    return _backward(f.U.to_dense().astype(LD), v, unit=False)
+
+
+@pytest.mark.skipif(np.finfo(LD).eps >= np.finfo(np.float64).eps,
+                    reason="the reference needs an extended-precision long double")
+@pytest.mark.parametrize("s_mode", [SMode.DENSE_FACTOR, SMode.IDENTITY])
+def test_apply_on_illc1850_matches_dense_reference(s_mode):
+    scaled, _ = column_scale(read_matrix_market(require_matrix("illc1850.mtx")))
+    factors = ilup_factorize(scaled, IlupParams(p=10))
+    pre = build_preconditioner(factors, s_mode=s_mode)
+    rng = np.random.default_rng(1850)
+    r1 = rng.standard_normal(pre.n)
+    r2 = rng.standard_normal(pre.split_rows)
+    assert rel_err(pre.apply(r1, r2), dense_apply(pre, r1, r2)) <= 1e-12
+
+
+def test_concurrent_first_applies_match_serial():
+    """Threads racing to build the cached solvers all get the serial answer."""
+    a = well_conditioned_split(np.random.default_rng(7), 120, 15)
+    rng = np.random.default_rng(8)
+    rhs = [(rng.standard_normal(120), rng.standard_normal(15)) for _ in range(8)]
+
+    def fresh():
+        factors = ilup_factorize(CscMatrix.from_dense(a), IlupParams(p=10))
+        return build_preconditioner(factors, s_mode=SMode.DENSE_FACTOR)
+
+    serial = fresh()
+    want = [serial.apply(r1, r2) for r1, r2 in rhs]
+    shared = fresh()
+    got = [None] * len(rhs)
+
+    def worker(k):
+        for _ in range(20):
+            got[k] = shared.apply(*rhs[k])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(rhs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

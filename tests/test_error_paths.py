@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from rowsplit import (
+    CglsConfig,
     CscMatrix,
     DenseMatrix,
     IlupParams,
+    MatrixMarketError,
     Permutation,
     SMode,
     assemble_s_dense,
@@ -14,7 +16,9 @@ from rowsplit import (
     dense_cholesky_solve,
     error_estimate,
     ilup_factorize,
+    pcgls,
     power_method_norm2,
+    read_matrix_market,
     solve_quasi_square_direct,
     sparse_lower_solve_transpose,
     sparse_solve_sparse_rhs,
@@ -186,3 +190,24 @@ def test_oracle_size_caps_and_checks():
         dense_lu_pp(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         dense_woodbury_correction(np.eye(3), np.ones((2, 4)), np.ones(3), np.ones(2))
+
+
+def test_from_dense_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        CscMatrix.from_dense([[1.0, np.nan], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        CscMatrix.from_dense([[1.0, np.inf], [0.0, 2.0]])
+
+
+def test_read_rejects_non_finite_value(tmp_path):
+    path = tmp_path / "nan.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 3\n1 1 1.0\n2 1 nan\n2 2 2.0\n")
+    with pytest.raises(MatrixMarketError, match="non-finite"):
+        read_matrix_market(path)
+
+
+def test_pcgls_rejects_non_finite_rhs():
+    A = csc([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        pcgls(A, np.array([1.0, np.nan, 0.0]), None, CglsConfig(norm_A=3.0))
