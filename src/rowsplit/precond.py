@@ -29,8 +29,8 @@ from .sparse_core import (
     matvec_transpose,
     sparse_lower_solve,
     sparse_lower_solve_transpose,
-    sparse_solve_sparse_rhs,
     sparse_upper_solve,
+    sparse_upper_solve_transpose,
 )
 
 
@@ -53,34 +53,35 @@ class UpdateFailedError(RuntimeError):
     """Row update broke positive definiteness; refactorize instead."""
 
 
+# Entries in one densified block of L2^T handed to the triangular solver
+# (512 KB).  On illc1850, blocks of 2^20 entries raised the peak memory of
+# a set-up by up to 12 MB and saved no time.
+_Y_BLOCK_ENTRIES = 1 << 16
+
+
 def build_y_explicit(factors: IlupFactors) -> CscMatrix:
     """Materialize Y = L2 L1^{-1} as a sparse (m-n) x n matrix.
 
-    Row i of Y solves L1^T y = (row i of L2); each solve is sparse in,
-    sparse out, with the pattern found symbolically first.
+    Solves L1^T Y^T = L2^T through the cached L1 factor, on densified
+    column blocks of L2^T of at most _Y_BLOCK_ENTRIES entries, and keeps
+    the nonzeros of each solved block.
     """
-    L1t = factors.L1.transpose()
-    L2t = factors.L2.transpose()
     s, n = factors.L2.nrows, factors.L2.ncols
+    L2_rows = factors.L2._scipy().tocsr()
+    step = max(1, _Y_BLOCK_ENTRIES // max(n, 1))
     rows_out, cols_out, vals_out = [], [], []
-    for i in range(s):
-        pat, bval = L2t.column(i)
-        if len(pat) == 0:
-            continue
-        ypat, yval = sparse_solve_sparse_rhs(L1t, pat, bval, unit_diag=True)
-        nz = yval != 0.0
-        ypat, yval = ypat[nz], yval[nz]
-        rows_out.append(np.full(len(ypat), i, dtype=np.int64))
-        cols_out.append(ypat)
-        vals_out.append(yval)
-    if rows_out:
-        return CscMatrix.from_coo(
-            s, n,
-            np.concatenate(rows_out),
-            np.concatenate(cols_out),
-            np.concatenate(vals_out),
-        )
-    return CscMatrix.from_coo(s, n, [], [], [])
+    for i0 in range(0, s, step):
+        block = L2_rows[i0:i0 + step].toarray().T
+        yt = sparse_lower_solve_transpose(factors.L1, block, unit_diag=True)
+        cols, rows = np.nonzero(yt)
+        rows_out.append(rows + i0)
+        cols_out.append(cols)
+        vals_out.append(yt[cols, rows])
+    if not rows_out:
+        return CscMatrix.from_coo(s, n, [], [], [])
+    return CscMatrix.from_coo(
+        s, n, np.concatenate(rows_out), np.concatenate(cols_out), np.concatenate(vals_out)
+    )
 
 
 def _gram_plus_identity(Y: CscMatrix) -> DenseMatrix:
@@ -193,29 +194,28 @@ class RowSplitPreconditioner:
     def add_row(self, pattern, values) -> "RowSplitPreconditioner":
         """Return a new preconditioner for the matrix with one appended row.
 
-        The leading factor block is reused: the new row adds one row l
-        to L2 (U^T l = new row), one row to the explicit Y, and, in
-        dense mode, a border to the S factor.  Raises UpdateFailedError
-        when the bordered Cholesky pivot is not positive.
+        The leading factor block is reused: the new row a adds one row
+        l to L2 (l = U^{-T} a, solved through the cached U factor), one
+        row to the explicit Y (L1^{-T} l, through the cached L1 factor),
+        and, in dense mode, a border to the S factor.  Raises
+        UpdateFailedError when the bordered Cholesky pivot is not
+        positive, and LinAlgError when U has a missing or zero diagonal.
         """
         if self.s_mode is SMode.INNER_CG:
             raise ValueError("row updates are supported for dense and identity S modes")
-        pattern = np.asarray(pattern, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-
-        Ut = self.factors.U.transpose()
-        lpat, lval = sparse_solve_sparse_rhs(Ut, pattern, values, unit_diag=False)
-        nz = lval != 0.0
-        lpat, lval = lpat[nz], lval[nz]
-
         f = self.factors
         s, n = f.L2.nrows, f.L2.ncols
+        a = np.zeros(n)
+        a[np.asarray(pattern, dtype=np.int64)] = np.asarray(values, dtype=np.float64)
+        l = sparse_upper_solve_transpose(f.U, a)
+        lpat = np.flatnonzero(l)
+
         old_cols = np.repeat(np.arange(n, dtype=np.int64), f.L2.column_counts())
         L2_new = CscMatrix.from_coo(
             s + 1, n,
             np.concatenate([f.L2.row_idx, np.full(len(lpat), s, dtype=np.int64)]),
             np.concatenate([old_cols, lpat]),
-            np.concatenate([f.L2.values, lval]),
+            np.concatenate([f.L2.values, l[lpat]]),
         )
         m = f.nrows
         perm_new = Permutation(
@@ -225,24 +225,20 @@ class RowSplitPreconditioner:
 
         Y_new = None
         if self.y_mode is YMode.EXPLICIT:
-            L1t = f.L1.transpose()
-            ypat, yval = sparse_solve_sparse_rhs(L1t, lpat, lval, unit_diag=True)
-            nz = yval != 0.0
-            ypat, yval = ypat[nz], yval[nz]
+            y = sparse_lower_solve_transpose(f.L1, l, unit_diag=True)
+            ypat = np.flatnonzero(y)
             ycols = np.repeat(np.arange(n, dtype=np.int64), self.Y.column_counts())
             Y_new = CscMatrix.from_coo(
                 s + 1, n,
                 np.concatenate([self.Y.row_idx, np.full(len(ypat), s, dtype=np.int64)]),
                 np.concatenate([ycols, ypat]),
-                np.concatenate([self.Y.values, yval]),
+                np.concatenate([self.Y.values, y[ypat]]),
             )
 
         S_new = None
         if self.s_mode is SMode.DENSE_FACTOR:
-            y_dense = np.zeros(n)
-            y_dense[ypat] = yval
-            c = matvec(self.Y, y_dense)  # couplings with the existing rows
-            diag = 1.0 + y_dense @ y_dense
+            c = matvec(self.Y, y)  # couplings with the existing rows
+            diag = 1.0 + y @ y
             cp = solve_triangular(self.S_factor.a, c, lower=True, check_finite=False)
             d_sq = diag - cp @ cp
             if d_sq <= 0.0:
@@ -264,22 +260,14 @@ class RowSplitPreconditioner:
             dense_cap=self.dense_cap,
         )
 
-    def remove_rows(self, row_positions) -> "RowSplitPreconditioner":
-        """Downdate for removed rows.  Reserved; not implemented.
-
-        The analogous low-rank identity applies, but the downdated
-        coupling matrix can lose definiteness, so a robust version
-        needs refactorization logic this library does not carry.
-        """
-        raise NotImplementedError("row removal requires refactorization")
-
 
 def _cg_fixed_steps(op, u, iters):
     """A fixed number of conjugate-gradient steps from a zero guess.
 
     No convergence test: the step count is part of the preconditioner
-    definition, so the operator stays the same on every application.
-    Stops early only if the residual vanishes identically.
+    definition.  The result is still a nonlinear function of u, because
+    the CG coefficients depend on u, so this is not a fixed linear
+    operator.  Stops early only if the residual vanishes identically.
     """
     w = np.zeros(len(u))
     r = np.array(u, dtype=np.float64, copy=True)

@@ -249,13 +249,15 @@ def matvec_transpose(A: CscMatrix, y) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Triangular solves (dense right-hand sides)
+# Triangular solves
 # ---------------------------------------------------------------------------
 
 
 def sparse_lower_solve(L: CscMatrix, b, unit_diag=False) -> np.ndarray:
     """Forward substitution L x = b for lower-triangular CSC L.
 
+    b is one right-hand side of shape (n,) or a block of shape (n, k);
+    x has the same shape.  This holds for all four triangular solves.
     With unit_diag the diagonal is implicit and only strictly
     sub-diagonal entries may be stored; otherwise the diagonal must be
     the first stored entry of each column.
@@ -281,9 +283,10 @@ def sparse_upper_solve_transpose(U: CscMatrix, b) -> np.ndarray:
 def _triangular_solve(T: CscMatrix, b, kind, trans) -> np.ndarray:
     if T.nrows != T.ncols:
         raise ValueError("triangular solve needs a square matrix")
-    if np.shape(b) != (T.ncols,):
-        raise ValueError("right-hand side length mismatch")
-    return _triangular_factor(T, kind).solve(np.asarray(b, dtype=np.float64), trans=trans)
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != T.ncols:
+        raise ValueError(f"right-hand side of shape {b.shape} for a {T.ncols}x{T.ncols} matrix")
+    return _triangular_factor(T, kind).solve(b, trans=trans)
 
 
 def _triangular_factor(T: CscMatrix, kind):
@@ -312,83 +315,6 @@ def _triangular_factor(T: CscMatrix, kind):
                   options={"SymmetricMode": True})
         T._compiled[kind] = lu
     return lu
-
-
-# ---------------------------------------------------------------------------
-# Triangular solve with a sparse right-hand side
-# ---------------------------------------------------------------------------
-
-
-def reach_pattern(T: CscMatrix, seed_rows) -> np.ndarray:
-    """Nodes reachable from the seed set in T's column graph.
-
-    The graph has an edge j -> i for every stored off-diagonal entry
-    (i, j).  The result is in topological order (every node precedes
-    the nodes it updates), which is exactly the elimination order the
-    numeric solve needs.
-    """
-    ptr, rows = T.col_ptr, T.row_idx
-    marked = np.zeros(T.ncols, dtype=bool)
-    topo: list[int] = []
-    # iterative depth-first search; stack holds (node, cursor)
-    for s in seed_rows:
-        s = int(s)
-        if marked[s]:
-            continue
-        marked[s] = True
-        stack = [(s, ptr[s])]
-        while stack:
-            node, cursor = stack[-1]
-            advanced = False
-            while cursor < ptr[node + 1]:
-                child = int(rows[cursor])
-                cursor += 1
-                if child != node and not marked[child]:
-                    marked[child] = True
-                    stack[-1] = (node, cursor)
-                    stack.append((child, ptr[child]))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                topo.append(node)
-    topo.reverse()
-    return np.asarray(topo, dtype=np.int64)
-
-
-def sparse_solve_sparse_rhs(T: CscMatrix, b_pattern, b_values, unit_diag=False):
-    """Solve T x = b where b is sparse, returning x in sparse form.
-
-    T may be lower or upper triangular.  The returned pattern is the
-    set of nodes reachable from b's pattern in T's column graph, sorted
-    by row index; values fill that pattern (zeros from cancellation are
-    kept).  Returns (pattern, values).
-    """
-    if T.nrows != T.ncols:
-        raise ValueError("triangular solve needs a square matrix")
-    b_pattern = np.asarray(b_pattern, dtype=np.int64)
-    b_values = np.asarray(b_values, dtype=np.float64)
-    if len(b_pattern) != len(b_values):
-        raise ValueError("pattern/values length mismatch")
-    topo = reach_pattern(T, b_pattern)
-    x = np.zeros(T.ncols)
-    x[b_pattern] = b_values
-    ptr, rows, vals = T.col_ptr, T.row_idx, T.values
-    for node in topo:
-        lo, hi = ptr[node], ptr[node + 1]
-        if not unit_diag:
-            k = lo + np.searchsorted(rows[lo:hi], node)
-            if k >= hi or rows[k] != node or vals[k] == 0.0:
-                raise np.linalg.LinAlgError(f"missing or zero diagonal in column {node}")
-            x[node] /= vals[k]
-        xv = x[node]
-        if xv != 0.0:
-            for t in range(lo, hi):
-                i = rows[t]
-                if i != node:
-                    x[i] -= vals[t] * xv
-    pattern = np.sort(topo)
-    return pattern, x[pattern]
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from rowsplit import (
     power_method_norm2,
     read_matrix_market,
     solve_quasi_square_direct,
+    sparse_lower_solve,
     sparse_lower_solve_transpose,
-    sparse_solve_sparse_rhs,
     sparse_upper_solve_transpose,
 )
 from rowsplit.oracle import dense_lls_solve, dense_lu_pp, dense_woodbury_correction
@@ -84,13 +84,15 @@ def test_permutation_round_trip_and_validation():
 def test_sparse_rhs_validation():
     A = csc(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        sparse_solve_sparse_rhs(A, [0], [1.0])
+        sparse_lower_solve(A, np.ones((3, 1)))
     I2 = CscMatrix.identity(2)
     with pytest.raises(ValueError):
-        sparse_solve_sparse_rhs(I2, [0, 1], [1.0])
+        sparse_lower_solve(I2, np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        sparse_upper_solve_transpose(I2, np.ones((2, 1, 1)))
     no_diag = CscMatrix(2, 2, [0, 1, 1], [1], [1.0])
     with pytest.raises(np.linalg.LinAlgError):
-        sparse_solve_sparse_rhs(no_diag, [0], [1.0])
+        sparse_lower_solve(no_diag, np.eye(2)[:, [0]])
 
 
 def test_power_method_degenerate_inputs():
@@ -149,12 +151,25 @@ def test_add_row_border_failure_signals():
         shrunk.add_row(np.arange(4), rng.standard_normal(4) * 10)
 
 
-def test_remove_rows_reserved():
+def test_add_row_zero_u_diagonal_raises():
+    rng = np.random.default_rng(4)
+    f = ilup_factorize(csc(rng.standard_normal((6, 4))), IlupParams(p=6))
+    pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
+    import dataclasses
+
+    vals = f.U.values.copy()
+    vals[f.U.col_ptr[3] - 1] = 0.0  # stored zero on the diagonal of column 2
+    U = CscMatrix(4, 4, f.U.col_ptr, f.U.row_idx, vals)
+    bad = dataclasses.replace(pre, factors=dataclasses.replace(f, U=U))
+    with pytest.raises(np.linalg.LinAlgError):
+        bad.add_row(np.arange(4), rng.standard_normal(4))
+
+
+def test_remove_rows_absent():
     rng = np.random.default_rng(4)
     f = ilup_factorize(csc(rng.standard_normal((6, 4))), IlupParams(p=6))
     pre = build_preconditioner(f, s_mode=SMode.IDENTITY)
-    with pytest.raises(NotImplementedError):
-        pre.remove_rows([5])
+    assert not hasattr(pre, "remove_rows")
 
 
 def test_build_preconditioner_validates_cg_iters():

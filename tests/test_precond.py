@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rowsplit import (
@@ -19,6 +21,7 @@ from rowsplit import (
     sparse_upper_solve,
 )
 from rowsplit.oracle import dense_lls_solve, dense_woodbury_correction
+from rowsplit import precond
 from rowsplit.precond import _gram_plus_identity
 
 from conftest import csc, laauchli, rel_err, well_conditioned_split
@@ -72,6 +75,44 @@ def test_y_matches_dense_inverse():
         L1 = f.L1.to_dense() + np.eye(n)
         want = f.L2.to_dense() @ np.linalg.inv(L1)
         assert rel_err(Y.to_dense(), want) <= 1e-12
+
+
+def random_unit_lower_factors(rng, n, s, density):
+    """Factors with a well-conditioned unit L1 and an L2 with empty rows."""
+    off = np.tril(rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < density), -1)
+    L2 = rng.standard_normal((s, n)) * (rng.random((s, n)) < density)
+    L2[rng.random(s) < 0.3] = 0.0
+    return IlupFactors(
+        row_perm=Permutation.identity(n + s),
+        L1=CscMatrix.from_dense(off / max(n, 1)),
+        L2=CscMatrix.from_dense(L2.reshape(s, n)),
+        U=CscMatrix.identity(n),
+        nmod=0,
+        row_counts_final=np.zeros(n + s, dtype=np.int64),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 25),
+    s=st.integers(0, 12),
+    density=st.floats(0.0, 1.0),
+    block_entries=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, s=0, density=0.5, block_entries=80, seed=0)
+@example(n=8, s=10, density=0.0, block_entries=80, seed=1)
+@example(n=20, s=12, density=0.6, block_entries=40, seed=2)
+def test_y_build_equals_l2_times_inverse_l1(n, s, density, block_entries, seed):
+    """Y = L2 L1^{-1} for any block size; block_entries < n*s gives several blocks."""
+    f = random_unit_lower_factors(np.random.default_rng(seed), n, s, density)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(precond, "_Y_BLOCK_ENTRIES", block_entries)
+        Y = build_y_explicit(f)
+    Y.validate()
+    assert (Y.nrows, Y.ncols) == (s, n)
+    want = f.L2.to_dense() @ np.linalg.inv(f.L1.to_dense() + np.eye(n))
+    assert rel_err(Y.to_dense(), want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +421,37 @@ def test_add_row_incremental_matches_rebuild():
         r2 = rng.standard_normal(m - n + 1)
         assert rel_err(pre2.apply(r1, r2), rebuilt.apply(r1, r2)) <= 1e-11
         assert pre2.psize == rebuilt.psize
+
+
+MODES = [
+    (SMode.DENSE_FACTOR, YMode.EXPLICIT),
+    (SMode.IDENTITY, YMode.EXPLICIT),
+    (SMode.IDENTITY, YMode.IMPLICIT),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    s=st.integers(0, 4),
+    modes=st.sampled_from(MODES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_three_add_rows_match_rebuild(n, s, modes, seed):
+    """Three successive folds equal a fresh build on the extended factors."""
+    s_mode, y_mode = modes
+    rng = np.random.default_rng(seed)
+    pre = build_preconditioner(factored(rng.standard_normal((n + s, n))), s_mode, y_mode)
+    for _ in range(3):
+        row = rng.standard_normal(n) * (rng.random(n) < 0.7)
+        pat = np.flatnonzero(row)
+        pre = pre.add_row(pat, row[pat])
+    rebuilt = build_preconditioner(pre.factors, s_mode, y_mode)
+    if y_mode is YMode.EXPLICIT:
+        assert_array_equal(pre.Y.col_ptr, rebuilt.Y.col_ptr)
+        assert_array_equal(pre.Y.row_idx, rebuilt.Y.row_idx)
+    r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 3)
+    assert rel_err(pre.apply(r1, r2), rebuilt.apply(r1, r2)) <= 1e-10
 
 
 def test_add_row_rejected_for_inner_cg():

@@ -16,7 +16,6 @@ from rowsplit import (
     read_matrix_market_ex,
     sparse_lower_solve,
     sparse_lower_solve_transpose,
-    sparse_solve_sparse_rhs,
     sparse_upper_solve,
     sparse_upper_solve_transpose,
 )
@@ -179,21 +178,24 @@ def test_transpose_solves_match_dense():
 
 
 # ---------------------------------------------------------------------------
-# sparse right-hand-side solve
+# sparse right-hand sides, solved as (n, k) blocks
 # ---------------------------------------------------------------------------
 
 
 def test_sparse_rhs_identity():
-    pattern, values = sparse_solve_sparse_rhs(CscMatrix.identity(4), [2], [5.0])
-    assert_array_equal(pattern, [2])
-    assert_array_equal(values, [5.0])
+    B = np.zeros((4, 2))
+    B[2, 0], B[0, 1] = 5.0, -1.0
+    X = sparse_lower_solve(CscMatrix.identity(4), B)
+    assert X.shape == (4, 2)
+    assert_array_equal(np.flatnonzero(X[:, 0]), [2])
+    assert_array_equal(X, B)
 
 
 def test_sparse_rhs_sink_node_no_fill():
     L = csc([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-    pattern, values = sparse_solve_sparse_rhs(L, [2], [1.0])
-    assert_array_equal(pattern, [2])
-    assert_allclose(values, [1.0])
+    X = sparse_lower_solve(L, np.eye(3)[:, [2]])
+    assert_array_equal(np.flatnonzero(X[:, 0]), [2])
+    assert_allclose(X[2, 0], 1.0)
 
 
 def bfs_reach(a_lower, seeds):
@@ -210,6 +212,7 @@ def bfs_reach(a_lower, seeds):
 
 
 def test_sparse_rhs_matches_dense_and_bfs():
+    """One seed entry per column: each column's fill is its seed's reach."""
     rng = np.random.default_rng(6)
     for trial in range(20):
         n = int(rng.integers(4, 11))
@@ -219,24 +222,22 @@ def test_sparse_rhs_matches_dense_and_bfs():
         k = int(rng.integers(1, 3))
         pat = np.sort(rng.choice(n, size=k, replace=False))
         vals = rng.standard_normal(k)
-        b = np.zeros(n)
-        b[pat] = vals
-        got_pat, got_vals = sparse_solve_sparse_rhs(L, pat, vals)
-        assert list(got_pat) == bfs_reach(full - np.eye(n), list(pat))
-        dense = np.linalg.solve(full, b)
-        x = np.zeros(n)
-        x[got_pat] = got_vals
-        assert rel_err(x, dense) <= 1e-14
+        B = np.zeros((n, k))
+        B[pat, np.arange(k)] = vals
+        X = sparse_lower_solve(L, B)
+        for c in range(k):
+            assert list(np.flatnonzero(X[:, c])) == bfs_reach(full - np.eye(n), [pat[c]])
+        dense = np.linalg.solve(full, B.sum(axis=1))
+        assert rel_err(X.sum(axis=1), dense) <= 1e-14
 
 
 def test_sparse_rhs_upper_triangular():
     rng = np.random.default_rng(7)
     up = np.triu(rng.standard_normal((6, 6)), 1) * (rng.random((6, 6)) < 0.5)
     full = up + np.diag(rng.uniform(1, 2, 6))
-    pat, vals = sparse_solve_sparse_rhs(csc(full), [4], [2.0])
-    x = np.zeros(6)
-    x[pat] = vals
-    assert rel_err(x, np.linalg.solve(full, np.eye(6)[:, 4] * 2.0)) <= 1e-13
+    X = sparse_upper_solve(csc(full), 2.0 * np.eye(6))
+    assert rel_err(X[:, 4], np.linalg.solve(full, np.eye(6)[:, 4] * 2.0)) <= 1e-13
+    assert rel_err(X, np.linalg.solve(full, 2.0 * np.eye(6))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +487,8 @@ def test_kernels_match_dense_up_to_50():
 
         seed_count = int(rng.integers(1, max(2, k // 3)))
         pat = np.sort(rng.choice(k, size=seed_count, replace=False))
-        got_pat, got_vals = sparse_solve_sparse_rhs(csc(low), pat, b[pat])
-        xs = np.zeros(k)
-        xs[got_pat] = got_vals
         bs = np.zeros(k)
         bs[pat] = b[pat]
-        assert rel_err(xs, np.linalg.solve(low, bs)) <= 1e-13
+        X = sparse_lower_solve(csc(low), np.column_stack([bs, b]))
+        assert rel_err(X[:, 0], np.linalg.solve(low, bs)) <= 1e-13
+        assert rel_err(X[:, 1], np.linalg.solve(low, b)) <= 1e-13
