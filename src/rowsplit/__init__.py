@@ -4,15 +4,11 @@ from .ilup import IlupFactors, IlupParams, choose_pivot, ilup_factorize, modify_
 from .precond import (
     RowSplitPreconditioner,
     SMode,
-    YMode,
-    apply_additive_correction,
-    assemble_s_dense,
     build_preconditioner,
     build_y_explicit,
 )
 from .solver import (
     CglsConfig,
-    QuasiSquareSolution,
     SolveReport,
     error_estimate,
     pcgls,
@@ -22,7 +18,6 @@ from .solver import (
 from .sparse_core import (
     ColumnScaling,
     CscMatrix,
-    DenseMatrix,
     IngestInfo,
     MatrixMarketError,
     Permutation,
@@ -44,19 +39,14 @@ __all__ = [
     "CglsConfig",
     "ColumnScaling",
     "CscMatrix",
-    "DenseMatrix",
     "IlupFactors",
     "IlupParams",
     "IngestInfo",
     "MatrixMarketError",
     "Permutation",
-    "QuasiSquareSolution",
     "RowSplitPreconditioner",
     "SMode",
     "SolveReport",
-    "YMode",
-    "apply_additive_correction",
-    "assemble_s_dense",
     "build_preconditioner",
     "build_y_explicit",
     "choose_pivot",

@@ -16,21 +16,24 @@ import argparse
 import csv
 import io
 import json
+import logging
 import sys
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import precond
 from .ilup import IlupParams, ilup_factorize
-from .precond import SMode, YMode, build_preconditioner
+from .precond import SMode, build_preconditioner
 from .solver import CglsConfig, pcgls
 from .sparse_core import column_scale, power_method_norm2, read_matrix_market_ex
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+_log = logging.getLogger("rowsplit")
 
 _S_MODES = {"dense": SMode.DENSE_FACTOR, "cg": SMode.INNER_CG, "identity": SMode.IDENTITY}
-_Y_MODES = {"auto": None, "explicit": YMode.EXPLICIT, "implicit": YMode.IMPLICIT}
 
 
 @dataclass
@@ -41,16 +44,13 @@ class RunConfig:
     mu: float = 0.1
     small: float = 1e-10
     s_mode: str = "dense"
-    y_mode: str = "auto"
     inner_cg_iters: int = 2
     delta: float = 1e-10
     max_iters: int = 2000
     estimator_delay: int = 5
     rhs_seed: int = 42
     power_iters: int = 100
-    dense_s_cap: int = 20000
     output_format: str = "json"
-    ratio_raw: bool = False
 
 
 def run_single(cfg: RunConfig) -> dict:
@@ -67,29 +67,17 @@ def run_single(cfg: RunConfig) -> dict:
 
     s_mode = _S_MODES[cfg.s_mode]
     split = factors.L2.nrows
-    fell_back = False
-    if s_mode is SMode.DENSE_FACTOR and split > cfg.dense_s_cap:
-        print(
-            f"warning: coupling block {split} exceeds dense cap {cfg.dense_s_cap}; "
-            "falling back to inner CG",
-            file=sys.stderr,
-        )
+    if s_mode is SMode.DENSE_FACTOR and split > precond.DENSE_S_CAP:
+        _log.warning("coupling block %d exceeds dense cap %d; falling back to inner CG",
+                     split, precond.DENSE_S_CAP)
         s_mode = SMode.INNER_CG
-        fell_back = True
-    pre = build_preconditioner(
-        factors,
-        s_mode=s_mode,
-        y_mode=_Y_MODES[cfg.y_mode],
-        cg_iters=cfg.inner_cg_iters,
-        dense_cap=cfg.dense_s_cap,
-    )
+    pre = build_preconditioner(factors, s_mode=s_mode, cg_iters=cfg.inner_cg_iters)
 
     solver_cfg = CglsConfig(
         norm_A=norm_A,
         delta=cfg.delta,
         max_iters=cfg.max_iters,
         estimator_delay=cfg.estimator_delay,
-        ratio_raw=cfg.ratio_raw,
     )
     _, report = pcgls(scaled, b, pre, solver_cfg)
 
@@ -106,15 +94,13 @@ def run_single(cfg: RunConfig) -> dict:
             "tau": cfg.tau,
             "mu": cfg.mu,
             "small": cfg.small,
-            "s_mode": cfg.s_mode if not fell_back else "cg",
-            "y_mode": pre.y_mode.value,
+            "s_mode": s_mode.value,
             "inner_cg_iters": cfg.inner_cg_iters,
             "delta": cfg.delta,
             "max_iters": cfg.max_iters,
             "estimator_delay": cfg.estimator_delay,
             "rhs_seed": cfg.rhs_seed,
             "power_iters": cfg.power_iters,
-            "ratio_raw": cfg.ratio_raw,
         },
         "norm_A_estimate": norm_A,
         **report.to_dict(),
@@ -215,7 +201,6 @@ def _add_solver_flags(sp):
     sp.add_argument("--small", type=float, default=1e-10, help="minimum pivot magnitude")
     sp.add_argument("--s-mode", choices=sorted(_S_MODES), default="dense",
                     help="how the coupling system is solved")
-    sp.add_argument("--y-mode", choices=sorted(_Y_MODES), default="auto")
     sp.add_argument("--cg-iters", type=int, default=2, dest="inner_cg_iters",
                     help="inner CG steps when --s-mode cg")
     sp.add_argument("--delta", type=float, default=1e-10, help="stopping tolerance")
@@ -225,9 +210,6 @@ def _add_solver_flags(sp):
     sp.add_argument("--seed", type=int, default=42, dest="rhs_seed",
                     help="seed for the right-hand side and norm estimate")
     sp.add_argument("--power-iters", type=int, default=100)
-    sp.add_argument("--dense-s-cap", type=int, default=20000, dest="dense_s_cap")
-    sp.add_argument("--ratio-raw", action="store_true",
-                    help="divide the raw squared-error estimate in the stopping rule")
     sp.add_argument("--format", choices=["json", "csv", "human"], default="json",
                     dest="output_format")
 
@@ -256,13 +238,12 @@ def main(argv=None) -> int:
         cfg = RunConfig(
             matrix_path=args.matrix,
             p=args.p, tau=args.tau, mu=args.mu, small=args.small,
-            s_mode=args.s_mode, y_mode=args.y_mode,
+            s_mode=args.s_mode,
             inner_cg_iters=args.inner_cg_iters,
             delta=args.delta, max_iters=args.max_iters,
             estimator_delay=args.estimator_delay,
             rhs_seed=args.rhs_seed, power_iters=args.power_iters,
-            dense_s_cap=args.dense_s_cap,
-            output_format=args.output_format, ratio_raw=args.ratio_raw,
+            output_format=args.output_format,
         )
         try:
             record = run_single(cfg)

@@ -5,9 +5,9 @@ block and a remainder.  The preconditioner applies the exact
 least-squares correction of that split, with the small coupling system
 S = I + Y Y^T (Y = L2 L1^{-1}) handled in one of three ways: assembled
 dense and Cholesky-factorized, solved approximately by a fixed number
-of conjugate-gradient steps, or replaced by the identity.  Y itself can
-be materialized as a sparse matrix or applied implicitly through
-triangular solves.
+of conjugate-gradient steps, or replaced by the identity.  Y is stored
+as a sparse matrix exactly when S is assembled dense; otherwise it is
+applied implicitly through triangular solves.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from scipy.linalg import solve_triangular
 from .ilup import IlupFactors
 from .sparse_core import (
     CscMatrix,
-    DenseMatrix,
     Permutation,
     dense_cholesky_factorize,
     dense_cholesky_solve,
@@ -42,16 +41,13 @@ class SMode(enum.Enum):
     IDENTITY = "identity"
 
 
-class YMode(enum.Enum):
-    """Whether Y = L2 L1^{-1} is stored or applied through solves."""
-
-    EXPLICIT = "explicit"
-    IMPLICIT = "implicit"
-
-
 class UpdateFailedError(RuntimeError):
     """Row update broke positive definiteness; refactorize instead."""
 
+
+# Largest coupling block (rows of L2) assembled and factorized dense; the
+# s x s S factor then takes 3.2 GB.
+DENSE_S_CAP = 20000
 
 # Entries in one densified block of L2^T handed to the triangular solver
 # (512 KB).  On illc1850, blocks of 2^20 entries raised the peak memory of
@@ -84,25 +80,14 @@ def build_y_explicit(factors: IlupFactors) -> CscMatrix:
     )
 
 
-def _gram_plus_identity(Y: CscMatrix) -> DenseMatrix:
-    """Assemble I + Y Y^T, mirroring the lower triangle exactly."""
+def _gram_plus_identity(Y: CscMatrix) -> np.ndarray:
+    """Assemble I + Y Y^T (Fortran order), mirroring the lower triangle exactly."""
     yd = Y.to_dense()
     g = yd @ yd.T
     low = np.tril(g)
     s = np.asfortranarray(low + np.tril(g, -1).T)
     s[np.arange(Y.nrows), np.arange(Y.nrows)] += 1.0
-    return DenseMatrix(s)
-
-
-def assemble_s_dense(pre: "RowSplitPreconditioner") -> DenseMatrix:
-    """Dense coupling matrix I + Y Y^T of a built preconditioner."""
-    if pre.Y is None:
-        raise ValueError("dense assembly needs the explicit Y")
-    if pre.Y.nrows > pre.dense_cap:
-        raise ValueError(
-            f"coupling block of size {pre.Y.nrows} exceeds the dense cap {pre.dense_cap}"
-        )
-    return _gram_plus_identity(pre.Y)
+    return s
 
 
 @dataclass
@@ -112,19 +97,18 @@ class RowSplitPreconditioner:
     Immutable once built.  apply() returns the same result for the same
     input and is safe to call from multiple threads; its first call
     caches compiled triangular solvers on the factors (concurrent first
-    calls may each build one).  psize counts every stored entry used in the
-    application: the three factors, Y when explicit, and the dense
-    triangle of the S factor when present.
+    calls may each build one).  Y and the lower Cholesky factor of S
+    (Fortran order) are stored in dense S mode and None otherwise.
+    psize counts every stored entry used in the application: the three
+    factors, Y, and the dense triangle of the S factor.
     """
 
     factors: IlupFactors
-    y_mode: YMode
     s_mode: SMode
     cg_iters: int
     Y: CscMatrix | None
-    S_factor: DenseMatrix | None
+    S_factor: np.ndarray | None
     psize: int
-    dense_cap: int
 
     @property
     def n(self) -> int:
@@ -137,14 +121,14 @@ class RowSplitPreconditioner:
     # -- Y application ----------------------------------------------------
 
     def y_apply(self, r1):
-        """Y @ r1, explicit or through L1/L2."""
-        if self.y_mode is YMode.EXPLICIT:
+        """Y @ r1, stored or through L1/L2."""
+        if self.Y is not None:
             return matvec(self.Y, r1)
         return matvec(self.factors.L2, sparse_lower_solve(self.factors.L1, r1, unit_diag=True))
 
     def y_apply_transpose(self, w):
-        """Y.T @ w, explicit or through L1/L2."""
-        if self.y_mode is YMode.EXPLICIT:
+        """Y.T @ w, stored or through L1/L2."""
+        if self.Y is not None:
             return matvec_transpose(self.Y, w)
         return sparse_lower_solve_transpose(
             self.factors.L1, matvec_transpose(self.factors.L2, w), unit_diag=True
@@ -194,71 +178,77 @@ class RowSplitPreconditioner:
     def add_row(self, pattern, values) -> "RowSplitPreconditioner":
         """Return a new preconditioner for the matrix with one appended row.
 
-        The leading factor block is reused: the new row a adds one row
-        l to L2 (l = U^{-T} a, solved through the cached U factor), one
-        row to the explicit Y (L1^{-T} l, through the cached L1 factor),
-        and, in dense mode, a border to the S factor.  Raises
-        UpdateFailedError when the bordered Cholesky pivot is not
-        positive, and LinAlgError when U has a missing or zero diagonal.
+        The row holds values at the distinct integer columns in pattern.
+        The leading factor block is reused: the new row a adds one row l
+        to L2 (l = U^{-T} a, solved through the cached U factor) and, in
+        dense mode, one row to Y (L1^{-T} l, through the cached L1
+        factor) and a border to the S factor.  Raises ValueError for a
+        column index that is not an integer, out of range or repeated
+        and for a non-finite value, UpdateFailedError when the bordered
+        Cholesky pivot is not positive, and LinAlgError when U has a
+        missing or zero diagonal.
         """
         if self.s_mode is SMode.INNER_CG:
             raise ValueError("row updates are supported for dense and identity S modes")
         f = self.factors
         s, n = f.L2.nrows, f.L2.ncols
+        pattern = np.asarray(pattern)
+        values = np.asarray(values, dtype=np.float64)
+        if pattern.ndim != 1 or pattern.shape != values.shape:
+            raise ValueError("pattern and values must be 1-d and of the same length")
+        if len(pattern) and pattern.dtype.kind not in "iu":
+            raise ValueError("column indices must be integers")
+        pattern = pattern.astype(np.int64)
+        if len(pattern) and (pattern.min() < 0 or pattern.max() >= n):
+            raise ValueError(f"column index out of range for a row of {n} columns")
+        if len(np.unique(pattern)) != len(pattern):
+            raise ValueError("repeated column index in the row")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("row has non-finite values")
         a = np.zeros(n)
-        a[np.asarray(pattern, dtype=np.int64)] = np.asarray(values, dtype=np.float64)
+        a[pattern] = values
         l = sparse_upper_solve_transpose(f.U, a)
-        lpat = np.flatnonzero(l)
-
-        old_cols = np.repeat(np.arange(n, dtype=np.int64), f.L2.column_counts())
-        L2_new = CscMatrix.from_coo(
-            s + 1, n,
-            np.concatenate([f.L2.row_idx, np.full(len(lpat), s, dtype=np.int64)]),
-            np.concatenate([old_cols, lpat]),
-            np.concatenate([f.L2.values, l[lpat]]),
-        )
         m = f.nrows
         perm_new = Permutation(
             np.append(f.row_perm.perm, m), np.append(f.row_perm.inv, m)
         )
-        factors_new = replace(f, L2=L2_new, row_perm=perm_new)
+        factors_new = replace(f, L2=_with_row(f.L2, l), row_perm=perm_new)
 
-        Y_new = None
-        if self.y_mode is YMode.EXPLICIT:
-            y = sparse_lower_solve_transpose(f.L1, l, unit_diag=True)
-            ypat = np.flatnonzero(y)
-            ycols = np.repeat(np.arange(n, dtype=np.int64), self.Y.column_counts())
-            Y_new = CscMatrix.from_coo(
-                s + 1, n,
-                np.concatenate([self.Y.row_idx, np.full(len(ypat), s, dtype=np.int64)]),
-                np.concatenate([ycols, ypat]),
-                np.concatenate([self.Y.values, y[ypat]]),
-            )
-
-        S_new = None
+        Y_new = S_new = None
         if self.s_mode is SMode.DENSE_FACTOR:
+            y = sparse_lower_solve_transpose(f.L1, l, unit_diag=True)
+            Y_new = _with_row(self.Y, y)
             c = matvec(self.Y, y)  # couplings with the existing rows
             diag = 1.0 + y @ y
-            cp = solve_triangular(self.S_factor.a, c, lower=True, check_finite=False)
+            cp = solve_triangular(self.S_factor, c, lower=True, check_finite=False)
             d_sq = diag - cp @ cp
             if d_sq <= 0.0:
                 raise UpdateFailedError("bordered pivot not positive; refactorization needed")
-            g = np.zeros((s + 1, s + 1), order="F")
-            g[:s, :s] = self.S_factor.a
-            g[s, :s] = cp
-            g[s, s] = np.sqrt(d_sq)
-            S_new = DenseMatrix(g)
+            S_new = np.zeros((s + 1, s + 1), order="F")
+            S_new[:s, :s] = self.S_factor
+            S_new[s, :s] = cp
+            S_new[s, s] = np.sqrt(d_sq)
 
         return RowSplitPreconditioner(
             factors=factors_new,
-            y_mode=self.y_mode,
             s_mode=self.s_mode,
             cg_iters=self.cg_iters,
             Y=Y_new,
             S_factor=S_new,
             psize=_psize(factors_new, Y_new, S_new),
-            dense_cap=self.dense_cap,
         )
+
+
+def _with_row(M: CscMatrix, x) -> CscMatrix:
+    """M with the nonzeros of the dense vector x appended as a last row."""
+    pat = np.flatnonzero(x)
+    cols = np.repeat(np.arange(M.ncols, dtype=np.int64), M.column_counts())
+    return CscMatrix.from_coo(
+        M.nrows + 1, M.ncols,
+        np.concatenate([M.row_idx, np.full(len(pat), M.nrows, dtype=np.int64)]),
+        np.concatenate([cols, pat]),
+        np.concatenate([M.values, x[pat]]),
+    )
 
 
 def _cg_fixed_steps(op, u, iters):
@@ -296,7 +286,7 @@ def _psize(factors: IlupFactors, Y, S_factor) -> int:
     if Y is not None:
         size += Y.nnz
     if S_factor is not None:
-        s = S_factor.nrows
+        s = S_factor.shape[0]
         size += s * (s + 1) // 2
     return size
 
@@ -304,57 +294,29 @@ def _psize(factors: IlupFactors, Y, S_factor) -> int:
 def build_preconditioner(
     factors: IlupFactors,
     s_mode: SMode = SMode.DENSE_FACTOR,
-    y_mode: YMode | None = None,
     cg_iters: int = 2,
-    dense_cap: int = 20000,
 ) -> RowSplitPreconditioner:
     """Assemble the applied preconditioner from factors.
 
-    y_mode defaults to explicit when the dense S factorization was
-    requested (Y is needed to assemble it) and implicit otherwise.
-    Raises ValueError when the dense mode is requested for a coupling
-    block larger than dense_cap.
+    Dense S mode stores Y and the Cholesky factor of S; the other modes
+    apply Y through triangular solves.  Raises ValueError when the dense
+    mode is requested for a coupling block larger than DENSE_S_CAP.
     """
     if cg_iters < 1:
         raise ValueError("cg_iters must be >= 1")
-    if y_mode is None:
-        y_mode = YMode.EXPLICIT if s_mode is SMode.DENSE_FACTOR else YMode.IMPLICIT
-    if s_mode is SMode.DENSE_FACTOR and y_mode is not YMode.EXPLICIT:
-        raise ValueError("dense S factorization requires the explicit Y")
-
-    s = factors.L2.nrows
-    if s_mode is SMode.DENSE_FACTOR and s > dense_cap:
-        raise ValueError(f"coupling block of size {s} exceeds the dense cap {dense_cap}")
-
-    Y = build_y_explicit(factors) if y_mode is YMode.EXPLICIT else None
-    S_factor = None
+    Y = S_factor = None
     if s_mode is SMode.DENSE_FACTOR:
+        s = factors.L2.nrows
+        if s > DENSE_S_CAP:
+            raise ValueError(f"coupling block of size {s} exceeds the dense cap {DENSE_S_CAP}")
+        Y = build_y_explicit(factors)
         S_factor = dense_cholesky_factorize(_gram_plus_identity(Y))
 
     return RowSplitPreconditioner(
         factors=factors,
-        y_mode=y_mode,
         s_mode=s_mode,
         cg_iters=cg_iters,
         Y=Y,
         S_factor=S_factor,
         psize=_psize(factors, Y, S_factor),
-        dense_cap=dense_cap,
     )
-
-
-def apply_additive_correction(z, A2: CscMatrix, solve_ma, solve_mb) -> np.ndarray:
-    """Generic additive-correction application with caller-supplied solves.
-
-    solve_ma approximates the inverse Gram of the leading row block and
-    solve_mb the inverse coupling matrix.  With exact solves the result
-    is the exact least-squares correction for the full matrix.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    u_a = np.asarray(solve_ma(z), dtype=np.float64)
-    if A2.nrows == 0:
-        return u_a
-    w_b = matvec(A2, u_a)
-    v_b = np.asarray(solve_mb(w_b), dtype=np.float64)
-    w_a = z - matvec_transpose(A2, v_b)
-    return np.asarray(solve_ma(w_a), dtype=np.float64)

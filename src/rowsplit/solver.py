@@ -17,17 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ilup import IlupParams, ilup_factorize
-from .precond import RowSplitPreconditioner, _gram_plus_identity, build_y_explicit
-from .sparse_core import (
-    CscMatrix,
-    column_scale,
-    dense_cholesky_factorize,
-    dense_cholesky_solve,
-    matvec,
-    matvec_transpose,
-    sparse_lower_solve,
-    sparse_upper_solve,
-)
+from .precond import RowSplitPreconditioner, SMode, build_preconditioner
+from .sparse_core import CscMatrix, column_scale, matvec, matvec_transpose
 
 
 @dataclass
@@ -38,7 +29,6 @@ class CglsConfig:
     delta: float = 1e-10
     max_iters: int = 2000
     estimator_delay: int = 5
-    ratio_raw: bool = False
 
     def __post_init__(self):
         if self.delta <= 0.0:
@@ -101,20 +91,18 @@ def error_estimate(window, d) -> float:
     return float(sum(a * r for a, r in window[-d:]))
 
 
-def stopping_ratio(estim, norm_A, x_norm, b_norm, raw=False) -> float:
+def stopping_ratio(estim, norm_A, x_norm, b_norm) -> float:
     """Backward-error style stopping quantity.
 
     The numerator is sqrt(estim) so that an estimate of a *squared*
-    energy norm compares against the first-power denominator; raw=True
-    divides the estimate as is, for comparison runs.
+    energy norm compares against the first-power denominator.
     """
     denom = norm_A * x_norm + b_norm
     if denom <= 0.0:
         raise ValueError("zero denominator in stopping ratio")
     if estim < 0.0:
         estim = 0.0
-    num = estim if raw else np.sqrt(estim)
-    return float(num / denom)
+    return float(np.sqrt(estim) / denom)
 
 
 def pcgls(
@@ -227,7 +215,7 @@ def pcgls(
         i = iters_run - d
         if i >= 0:
             estim = error_estimate(list(zip(alphas[i:], sigmas[i:])), d)
-            ratio = stopping_ratio(estim, cfg.norm_A, x_norms[i], b_norm, raw=cfg.ratio_raw)
+            ratio = stopping_ratio(estim, cfg.norm_A, x_norms[i], b_norm)
             history.append(ratio)
             if ratio <= cfg.delta:
                 converged = True
@@ -248,7 +236,7 @@ def pcgls(
         # the attainable-accuracy floor, so partial sums stay honest
         for i in range(max(0, iters_run - d + 1), iters_run + 1):
             estim = float(sum(a * s for a, s in zip(alphas[i:], sigmas[i:])))
-            ratio = stopping_ratio(estim, cfg.norm_A, x_norms[i], b_norm, raw=cfg.ratio_raw)
+            ratio = stopping_ratio(estim, cfg.norm_A, x_norms[i], b_norm)
             history.append(ratio)
             if ratio <= cfg.delta:
                 converged = True
@@ -276,52 +264,28 @@ def pcgls(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class QuasiSquareSolution:
-    x: np.ndarray
-    w: np.ndarray
-    s_condition: float
+def solve_quasi_square_direct(A: CscMatrix, b) -> np.ndarray:
+    """Direct least-squares solution through a complete LU of the row split.
 
-
-def solve_quasi_square_direct(A: CscMatrix, b, mu=0.1, dense_cap=20000) -> QuasiSquareSolution:
-    """Direct least-squares solve through a complete LU of the row split.
-
-    Scales the columns, factorizes completely (no dropping), solves the
-    dense coupling system for the remainder rows, back-substitutes
-    through the square block, and unscales.  Intended for matrices with
-    few extra rows; raises LinAlgError when the factorization needed a
-    pivot modification (rank deficiency) and ValueError when the
-    coupling block exceeds dense_cap.
+    Scales the columns, factorizes completely (no dropping), applies the
+    dense-S preconditioner to the permuted right-hand side, and
+    unscales; with complete factors that one application is the exact
+    least-squares solution.  Intended for matrices with few extra rows.
+    Raises ValueError when b has the wrong length or a non-finite entry
+    or when the coupling block exceeds DENSE_S_CAP, and LinAlgError when
+    the factorization needed a pivot modification (rank deficiency).
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.nrows,):
         raise ValueError("right-hand side length mismatch")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has non-finite entries")
     scaled, scaling = column_scale(A)
-    params = IlupParams(p=A.nrows, tau=0.0, mu=mu)
-    factors = ilup_factorize(scaled, params)
+    factors = ilup_factorize(scaled, IlupParams(p=A.nrows, tau=0.0))
     if factors.nmod > 0:
         raise np.linalg.LinAlgError(
             f"{factors.nmod} modified pivots: matrix is numerically rank deficient"
         )
-    s = factors.L2.nrows
-    if s > dense_cap:
-        raise ValueError(f"coupling block of size {s} exceeds the dense cap {dense_cap}")
-
+    pre = build_preconditioner(factors, SMode.DENSE_FACTOR)
     pb = factors.row_perm.apply(b)
-    b1, b2 = pb[:A.ncols], pb[A.ncols:]
-    if s:
-        Y = build_y_explicit(factors)
-        S = _gram_plus_identity(Y)
-        S_factor = dense_cholesky_factorize(S)
-        w = dense_cholesky_solve(S_factor, b2 - matvec(Y, b1))
-        rhs = b1 + matvec_transpose(Y, w)
-        diag = np.diag(S_factor.a)
-        s_condition = float((diag.max() / diag.min()) ** 2)
-    else:
-        w = np.zeros(0)
-        rhs = b1
-        s_condition = 1.0
-
-    v = sparse_lower_solve(factors.L1, rhs, unit_diag=True)
-    y = sparse_upper_solve(factors.U, v)
-    return QuasiSquareSolution(x=scaling.unscale_solution(y), w=w, s_condition=s_condition)
+    return scaling.unscale_solution(pre.apply(pb[:A.ncols], pb[A.ncols:]))

@@ -2,13 +2,14 @@
 
 Everything downstream (factorization, preconditioning, the iterative
 solver) works with the types defined here: CscMatrix for sparse data,
-DenseMatrix for small dense blocks, Permutation for row reorderings and
-ColumnScaling for the unit-column-norm prescaling.  All values are
-float64; all index arrays are int64.  The kernels hand the work to
-scipy: products go through a scipy CSC view, triangular solves through
-a SuperLU object and dense Cholesky through LAPACK.  A CscMatrix builds
-these compiled forms on first use and caches them, so its arrays must
-not be mutated after it has been used in a kernel.
+Permutation for row reorderings and ColumnScaling for the
+unit-column-norm prescaling; small dense blocks are plain Fortran-order
+numpy arrays.  All values are float64; all index arrays are int64.  The
+kernels hand the work to scipy: products go through a scipy CSC view,
+triangular solves through a SuperLU object and dense Cholesky through
+LAPACK.  A CscMatrix builds these compiled forms on first use and caches
+them, so its arrays must not be mutated after it has been used in a
+kernel.
 """
 
 from __future__ import annotations
@@ -152,33 +153,6 @@ class CscMatrix:
 
     def __repr__(self):
         return f"CscMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
-
-
-class DenseMatrix:
-    """Small dense matrix, column-major storage."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = np.asfortranarray(a, dtype=np.float64)
-        if self.a.ndim != 2:
-            raise ValueError("DenseMatrix expects a 2-d array")
-
-    @property
-    def nrows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def values(self):
-        """Flat column-major view of the entries."""
-        return self.a.ravel(order="F")
-
-    def __repr__(self):
-        return f"DenseMatrix({self.nrows}x{self.ncols})"
 
 
 @dataclass
@@ -504,22 +478,24 @@ def read_matrix_market_ex(path):
 # ---------------------------------------------------------------------------
 
 
-def dense_cholesky_factorize(S: DenseMatrix) -> DenseMatrix:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+def dense_cholesky_factorize(S) -> np.ndarray:
+    """Lower Cholesky factor (Fortran order) of a symmetric positive definite matrix.
 
-    LAPACK potrf on the lower triangle.  Raises LinAlgError when S has a
-    non-finite entry or is not positive definite.
+    LAPACK potrf on the lower triangle.  Raises ValueError when S is not
+    a square 2-d array and LinAlgError when S has a non-finite entry or
+    is not positive definite.
     """
-    if S.nrows != S.ncols:
-        raise ValueError("Cholesky needs a square matrix")
-    if not np.all(np.isfinite(S.a)):
+    S = np.asarray(S, dtype=np.float64)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValueError(f"Cholesky needs a square matrix, got shape {S.shape}")
+    if not np.all(np.isfinite(S)):
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    return DenseMatrix(scipy.linalg.cholesky(S.a, lower=True, check_finite=False))
+    return np.asfortranarray(scipy.linalg.cholesky(S, lower=True, check_finite=False))
 
 
-def dense_cholesky_solve(factor: DenseMatrix, b) -> np.ndarray:
+def dense_cholesky_solve(factor, b) -> np.ndarray:
     """Solve S x = b given the lower Cholesky factor of S."""
-    if np.shape(b) != (factor.nrows,):
+    if np.shape(b) != (factor.shape[0],):
         raise ValueError("right-hand side length mismatch")
-    return scipy.linalg.cho_solve((factor.a, True), np.asarray(b, dtype=np.float64),
+    return scipy.linalg.cho_solve((factor, True), np.asarray(b, dtype=np.float64),
                                   check_finite=False)

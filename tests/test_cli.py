@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import logging
 import os
 
 import numpy as np
 import pytest
 
+from rowsplit import precond
 from rowsplit.cli import RunConfig, emit_convergence_plot_data, main, run_batch, run_single
 
 from conftest import require_matrix
@@ -83,26 +85,25 @@ def test_solve_exit_codes(identity_mtx, small_mtx, tmp_path, capsys):
 def test_solve_flags(small_mtx, capsys):
     code = main([
         "solve", small_mtx, "--s-mode", "cg", "--cg-iters", "3",
-        "--y-mode", "implicit", "--p", "4", "--tau", "0.05",
+        "--p", "4", "--tau", "0.05",
         "--delta", "1e-8", "--seed", "7", "--format", "json",
     ])
     out = json.loads(capsys.readouterr().out)
     assert code in (0, 2)
     assert out["params"]["s_mode"] == "cg"
-    assert out["params"]["y_mode"] == "implicit"
+    assert out["params"]["inner_cg_iters"] == 3
     assert out["params"]["rhs_seed"] == 7
 
 
-def test_ratio_raw_flag(small_mtx):
-    rec = run_single(RunConfig(matrix_path=small_mtx, ratio_raw=True))
-    assert rec["params"]["ratio_raw"] is True
-
-
-def test_dense_cap_falls_back_to_inner_cg(small_mtx, capsys):
-    rec = run_single(RunConfig(matrix_path=small_mtx, s_mode="dense", dense_s_cap=1))
+def test_dense_cap_falls_back_to_inner_cg(small_mtx, monkeypatch, caplog):
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 1)
+    with caplog.at_level(logging.WARNING, logger="rowsplit"):
+        rec = run_single(RunConfig(matrix_path=small_mtx, s_mode="dense"))
     assert rec["params"]["s_mode"] == "cg"
     assert rec["converged"] is True
-    assert "falling back" in capsys.readouterr().err
+    [warning] = [r for r in caplog.records if r.name == "rowsplit"]
+    assert warning.levelno == logging.WARNING
+    assert "exceeds dense cap 1; falling back to inner CG" in warning.getMessage()
 
 
 def test_human_and_csv_formats(identity_mtx, capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from rowsplit import (
     CscMatrix,
-    DenseMatrix,
     IlupParams,
     SMode,
     build_preconditioner,
@@ -100,7 +99,7 @@ def test_second_solve_reuses_the_factor_object():
 ], ids=["indefinite", "nan", "inf"])
 def test_cholesky_rejects_indefinite_and_non_finite(bad):
     with pytest.raises(np.linalg.LinAlgError):
-        dense_cholesky_factorize(DenseMatrix(np.array(bad)))
+        dense_cholesky_factorize(np.array(bad))
 
 
 LD = np.longdouble
@@ -140,7 +139,7 @@ def dense_apply(pre, r1, r2):
     y = np.asarray(r1, dtype=LD)
     if pre.s_mode is SMode.DENSE_FACTOR:
         Y = pre.Y.to_dense().astype(LD)
-        G = pre.S_factor.a.astype(LD)
+        G = pre.S_factor.astype(LD)
         y = y + Y.T @ _backward(G.T, _forward(G, r2 - Y @ y, unit=False), unit=False)
     elif pre.s_mode is SMode.IDENTITY:
         L2 = f.L2.to_dense().astype(LD)
@@ -161,7 +160,7 @@ def dense_apply_float64(pre, r1, r2):
     y = np.asarray(r1, dtype=np.float64)
     if pre.s_mode is SMode.DENSE_FACTOR:
         Y = pre.Y.to_dense()
-        y = y + Y.T @ scipy.linalg.cho_solve((pre.S_factor.a, True), r2 - Y @ y)
+        y = y + Y.T @ scipy.linalg.cho_solve((pre.S_factor, True), r2 - Y @ y)
     elif pre.s_mode is SMode.IDENTITY:
         L2 = f.L2.to_dense()
         y = y + l1_solve(L2.T @ (r2 - L2 @ l1_solve(y)), trans="T")

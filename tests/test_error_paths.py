@@ -5,12 +5,10 @@ from numpy.testing import assert_array_equal
 from rowsplit import (
     CglsConfig,
     CscMatrix,
-    DenseMatrix,
     IlupParams,
     MatrixMarketError,
     Permutation,
     SMode,
-    assemble_s_dense,
     build_preconditioner,
     dense_cholesky_factorize,
     dense_cholesky_solve,
@@ -24,7 +22,8 @@ from rowsplit import (
     sparse_lower_solve_transpose,
     sparse_upper_solve_transpose,
 )
-from rowsplit.oracle import dense_lls_solve, dense_lu_pp, dense_woodbury_correction
+from oracle import dense_lls_solve, dense_lu_pp, dense_woodbury_correction
+from rowsplit import precond
 from rowsplit.precond import UpdateFailedError
 
 from conftest import csc, rel_err
@@ -63,10 +62,12 @@ def test_validate_catches_structural_damage():
 
 
 def test_dense_matrix_requires_2d():
-    with pytest.raises(ValueError):
-        DenseMatrix(np.ones(3))
-    d = DenseMatrix(np.arange(6.0).reshape(2, 3))
-    assert_array_equal(d.values, [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])  # column-major
+    for bad in (np.ones(3), np.ones((2, 2, 2)), np.float64(4.0)):
+        with pytest.raises(ValueError, match="square"):
+            dense_cholesky_factorize(bad)
+    f = dense_cholesky_factorize(np.diag([4.0, 9.0]))
+    assert f.flags.f_contiguous
+    assert_array_equal(f, np.diag([2.0, 3.0]))
 
 
 def test_permutation_round_trip_and_validation():
@@ -101,9 +102,9 @@ def test_power_method_degenerate_inputs():
 
 
 def test_cholesky_shape_errors():
-    with pytest.raises(ValueError):
-        dense_cholesky_factorize(DenseMatrix(np.ones((2, 3))))
-    f = dense_cholesky_factorize(DenseMatrix(np.eye(2)))
+    with pytest.raises(ValueError, match="square"):
+        dense_cholesky_factorize(np.ones((2, 3)))
+    f = dense_cholesky_factorize(np.eye(2))
     with pytest.raises(ValueError):
         dense_cholesky_solve(f, np.ones(3))
 
@@ -130,14 +131,6 @@ def test_factor_validate_catches_tampering():
         dataclasses.replace(f, L2=dense_col).validate(IlupParams(p=1))
 
 
-def test_assemble_s_requires_explicit_y():
-    rng = np.random.default_rng(2)
-    f = ilup_factorize(csc(rng.standard_normal((7, 4))), IlupParams(p=7))
-    pre = build_preconditioner(f, s_mode=SMode.IDENTITY)  # implicit Y
-    with pytest.raises(ValueError):
-        assemble_s_dense(pre)
-
-
 def test_add_row_border_failure_signals():
     rng = np.random.default_rng(3)
     f = ilup_factorize(csc(rng.standard_normal((7, 4))), IlupParams(p=7))
@@ -146,9 +139,27 @@ def test_add_row_border_failure_signals():
     # pivot go negative, which must surface as the update-failure signal
     import dataclasses
 
-    shrunk = dataclasses.replace(pre, S_factor=DenseMatrix(pre.S_factor.a * 1e-4))
+    shrunk = dataclasses.replace(pre, S_factor=pre.S_factor * 1e-4)
     with pytest.raises(UpdateFailedError):
         shrunk.add_row(np.arange(4), rng.standard_normal(4) * 10)
+
+
+@pytest.mark.parametrize("s_mode", [SMode.DENSE_FACTOR, SMode.IDENTITY])
+@pytest.mark.parametrize("pattern, values, message", [
+    ([-1], [1.0], "out of range"),
+    ([4], [1.0], "out of range"),
+    ([0, 2, 0], [1.0, 2.0, 3.0], "repeated"),
+    ([1, 3], [1.0, np.nan], "non-finite"),
+    ([1, 3], [np.inf, 1.0], "non-finite"),
+    ([1, 3], [1.0], "same length"),
+    ([1.7], [1.0], "integers"),
+], ids=["negative", "past-end", "repeated", "nan", "inf", "length", "float-index"])
+def test_add_row_rejects_bad_row(s_mode, pattern, values, message):
+    rng = np.random.default_rng(3)
+    f = ilup_factorize(csc(rng.standard_normal((7, 4))), IlupParams(p=7))
+    pre = build_preconditioner(f, s_mode=s_mode)
+    with pytest.raises(ValueError, match=message):
+        pre.add_row(pattern, values)
 
 
 def test_add_row_zero_u_diagonal_raises():
@@ -184,13 +195,18 @@ def test_error_estimate_rejects_bad_delay():
         error_estimate([(1.0, 1.0)], 0)
 
 
-def test_quasi_square_input_checks():
+def test_quasi_square_input_checks(monkeypatch):
     rng = np.random.default_rng(6)
     A = csc(rng.standard_normal((6, 4)))
     with pytest.raises(ValueError):
         solve_quasi_square_direct(A, np.ones(5))
-    with pytest.raises(ValueError):
-        solve_quasi_square_direct(A, np.ones(6), dense_cap=1)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_quasi_square_direct(A, np.array([1.0, 0.0, np.nan, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_quasi_square_direct(A, np.array([1.0, 0.0, 0.0, np.inf, 0.0, 0.0]))
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 1)
+    with pytest.raises(ValueError, match="dense cap"):
+        solve_quasi_square_direct(A, np.ones(6))
 
 
 def test_oracle_size_caps_and_checks():

@@ -4,7 +4,7 @@ from numpy.testing import assert_array_equal
 
 from rowsplit import CscMatrix, IlupParams, choose_pivot, column_scale, ilup_factorize, modify_pivot
 from rowsplit.ilup import remaining_row_counts
-from rowsplit.oracle import dense_lu_pp
+from oracle import dense_lu_pp
 
 from conftest import csc, random_sparse, rel_err
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from rowsplit.oracle import dense_lls_solve, dense_lu_pp, dense_woodbury_correction
+from oracle import dense_lls_solve, dense_lu_pp, dense_woodbury_correction
 
 from conftest import laauchli, rel_err
 

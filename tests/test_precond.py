@@ -10,9 +10,6 @@ from rowsplit import (
     IlupParams,
     Permutation,
     SMode,
-    YMode,
-    apply_additive_correction,
-    assemble_s_dense,
     build_preconditioner,
     build_y_explicit,
     column_scale,
@@ -20,7 +17,7 @@ from rowsplit import (
     sparse_lower_solve,
     sparse_upper_solve,
 )
-from rowsplit.oracle import dense_lls_solve, dense_woodbury_correction
+from oracle import dense_lls_solve, dense_woodbury_correction
 from rowsplit import precond
 from rowsplit.precond import _gram_plus_identity
 
@@ -134,12 +131,14 @@ def test_y_apply_hand_case():
 
 
 def test_y_modes_agree():
+    # stored Y (dense S) against solves through the factors (identity S)
     rng = np.random.default_rng(3)
     for _ in range(10):
         n, s = int(rng.integers(3, 12)), int(rng.integers(1, 7))
         f = factored(rng.standard_normal((n + s, n)), p=4)
-        pe = build_preconditioner(f, s_mode=SMode.IDENTITY, y_mode=YMode.EXPLICIT)
-        pi = build_preconditioner(f, s_mode=SMode.IDENTITY, y_mode=YMode.IMPLICIT)
+        pe = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
+        pi = build_preconditioner(f, s_mode=SMode.IDENTITY)
+        assert pe.Y is not None and pi.Y is None
         r1 = rng.standard_normal(n)
         w = rng.standard_normal(s)
         assert rel_err(pi.y_apply(r1), pe.y_apply(r1)) <= 1e-13
@@ -161,7 +160,7 @@ def test_s_matvec_identity_l2_zero():
 
 
 def test_s_matvec_hand_case():
-    pre = build_preconditioner(hand_factors([[1.0, 1.0]]), s_mode=SMode.IDENTITY, y_mode=YMode.IMPLICIT)
+    pre = build_preconditioner(hand_factors([[1.0, 1.0]]), s_mode=SMode.IDENTITY)
     assert_array_equal(pre.s_matvec_implicit([2.0]), [6.0])
 
 
@@ -171,7 +170,7 @@ def test_s_matvec_matches_dense_gram():
         n, s = int(rng.integers(3, 12)), int(rng.integers(1, 8))
         f = factored(rng.standard_normal((n + s, n)), p=5)
         pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-        S = _gram_plus_identity(pre.Y).a
+        S = _gram_plus_identity(pre.Y)
         v = rng.standard_normal(s)
         want = S @ v
         assert rel_err(pre.s_matvec_implicit(v), want) <= 1e-13
@@ -188,10 +187,12 @@ def test_assemble_s_trivial_cases():
         row_counts_final=np.zeros(3, dtype=np.int64),
     )
     pre = build_preconditioner(f0, s_mode=SMode.DENSE_FACTOR)
-    assert_array_equal(assemble_s_dense(pre).a, np.eye(1))
+    assert_array_equal(_gram_plus_identity(pre.Y), np.eye(1))
+    assert_array_equal(pre.S_factor, np.eye(1))
 
     pre = build_preconditioner(hand_factors([[1.0, 1.0]]), s_mode=SMode.DENSE_FACTOR)
-    assert_array_equal(assemble_s_dense(pre).a, [[3.0]])
+    assert_array_equal(_gram_plus_identity(pre.Y), [[3.0]])
+    assert_array_equal(pre.S_factor, [[np.sqrt(3.0)]])
 
 
 def test_assemble_s_matches_dense_gram():
@@ -202,16 +203,23 @@ def test_assemble_s_matches_dense_gram():
         pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
         yd = pre.Y.to_dense()
         want = np.eye(s) + yd @ yd.T
-        assert rel_err(assemble_s_dense(pre).a, want) <= 1e-13
+        S = _gram_plus_identity(pre.Y)
+        assert rel_err(S, want) <= 1e-13
+        assert S.flags.f_contiguous and pre.S_factor.flags.f_contiguous
+        assert rel_err(pre.S_factor @ pre.S_factor.T, want) <= 1e-13
         # Cholesky pivots are strictly positive: the coupling matrix is SPD
-        assert np.diag(pre.S_factor.a).min() > 0.0
+        assert np.diag(pre.S_factor).min() > 0.0
 
 
-def test_dense_mode_respects_cap():
+def test_dense_mode_respects_cap(monkeypatch):
     rng = np.random.default_rng(6)
     f = factored(rng.standard_normal((10, 4)))
-    with pytest.raises(ValueError):
-        build_preconditioner(f, s_mode=SMode.DENSE_FACTOR, dense_cap=5)
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 6)
+    build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 5)
+    with pytest.raises(ValueError, match="dense cap 5"):
+        build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
+    build_preconditioner(f, s_mode=SMode.IDENTITY)
 
 
 def test_psize_accounting():
@@ -308,62 +316,6 @@ def test_inner_cg_limit_matches_dense_factor():
 
 
 # ---------------------------------------------------------------------------
-# generic additive correction
-# ---------------------------------------------------------------------------
-
-
-def test_additive_correction_no_second_block():
-    rng = np.random.default_rng(13)
-    z = rng.standard_normal(5)
-    calls = []
-
-    def solve_ma(v):
-        calls.append(1)
-        return 2.0 * v
-
-    h = apply_additive_correction(z, CscMatrix.from_coo(0, 5, [], [], []), solve_ma, None)
-    assert_array_equal(h, 2.0 * z)
-    assert len(calls) == 1
-
-
-def test_additive_correction_exact_solves():
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        n = int(rng.integers(3, 10))
-        k = n + int(rng.integers(0, 4))
-        m = k + int(rng.integers(1, 6))
-        a = rng.standard_normal((m, n))
-        a1, a2 = a[:k], a[k:]
-        c1 = a1.T @ a1
-        s = np.eye(m - k) + a2 @ np.linalg.solve(c1, a2.T)
-        z = rng.standard_normal(n)
-        h = apply_additive_correction(
-            z, csc(a2),
-            lambda v: np.linalg.solve(c1, v),
-            lambda v: np.linalg.solve(s, v),
-        )
-        want = np.linalg.solve(a.T @ a, z)
-        assert rel_err(h, want) <= 1e-11
-
-
-def test_additive_correction_inverse_action():
-    rng = np.random.default_rng(15)
-    n, k, m = 6, 6, 10
-    a = rng.standard_normal((m, n))
-    a1, a2 = a[:k], a[k:]
-    c = a.T @ a
-    c1 = a1.T @ a1
-    s = np.eye(m - k) + a2 @ np.linalg.solve(c1, a2.T)
-    z = c @ np.eye(n)[:, 0]
-    h = apply_additive_correction(
-        z, csc(a2),
-        lambda v: np.linalg.solve(c1, v),
-        lambda v: np.linalg.solve(s, v),
-    )
-    assert rel_err(h, np.eye(n)[:, 0]) <= 1e-11
-
-
-# ---------------------------------------------------------------------------
 # row updates
 # ---------------------------------------------------------------------------
 
@@ -375,8 +327,8 @@ def test_add_zero_row_keeps_action():
     pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
     pre2 = pre.add_row([], [])
     s = f.L2.nrows
-    assert pre2.S_factor.a[s, s] == 1.0
-    assert np.all(pre2.S_factor.a[s, :s] == 0.0)
+    assert pre2.S_factor[s, s] == 1.0
+    assert np.all(pre2.S_factor[s, :s] == 0.0)
     r1, r2 = rng.standard_normal(5), rng.standard_normal(s)
     assert_allclose(
         pre2.apply(r1, np.append(r2, 0.0)), pre.apply(r1, r2), rtol=0, atol=1e-13
@@ -414,8 +366,8 @@ def test_add_row_incremental_matches_rebuild():
         pre2 = pre.add_row(pat, row[pat])
         # rebuild from scratch out of the updated trapezoidal factor
         rebuilt = build_preconditioner(pre2.factors, s_mode=SMode.DENSE_FACTOR)
-        S_inc = _gram_plus_identity(pre2.Y).a
-        S_reb = _gram_plus_identity(rebuilt.Y).a
+        S_inc = _gram_plus_identity(pre2.Y)
+        S_reb = _gram_plus_identity(rebuilt.Y)
         assert rel_err(S_inc, S_reb) <= 1e-12
         r1 = rng.standard_normal(n)
         r2 = rng.standard_normal(m - n + 1)
@@ -423,31 +375,24 @@ def test_add_row_incremental_matches_rebuild():
         assert pre2.psize == rebuilt.psize
 
 
-MODES = [
-    (SMode.DENSE_FACTOR, YMode.EXPLICIT),
-    (SMode.IDENTITY, YMode.EXPLICIT),
-    (SMode.IDENTITY, YMode.IMPLICIT),
-]
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 10),
     s=st.integers(0, 4),
-    modes=st.sampled_from(MODES),
+    s_mode=st.sampled_from([SMode.DENSE_FACTOR, SMode.IDENTITY]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_three_add_rows_match_rebuild(n, s, modes, seed):
+def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
     """Three successive folds equal a fresh build on the extended factors."""
-    s_mode, y_mode = modes
     rng = np.random.default_rng(seed)
-    pre = build_preconditioner(factored(rng.standard_normal((n + s, n))), s_mode, y_mode)
+    pre = build_preconditioner(factored(rng.standard_normal((n + s, n))), s_mode)
     for _ in range(3):
         row = rng.standard_normal(n) * (rng.random(n) < 0.7)
         pat = np.flatnonzero(row)
         pre = pre.add_row(pat, row[pat])
-    rebuilt = build_preconditioner(pre.factors, s_mode, y_mode)
-    if y_mode is YMode.EXPLICIT:
+    rebuilt = build_preconditioner(pre.factors, s_mode)
+    assert (pre.Y is None) == (rebuilt.Y is None) == (s_mode is SMode.IDENTITY)
+    if s_mode is SMode.DENSE_FACTOR:
         assert_array_equal(pre.Y.col_ptr, rebuilt.Y.col_ptr)
         assert_array_equal(pre.Y.row_idx, rebuilt.Y.row_idx)
     r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 3)
@@ -461,9 +406,3 @@ def test_add_row_rejected_for_inner_cg():
     with pytest.raises(ValueError):
         pre.add_row([0], [1.0])
 
-
-def test_build_rejects_dense_with_implicit_y():
-    rng = np.random.default_rng(20)
-    f = factored(rng.standard_normal((7, 4)))
-    with pytest.raises(ValueError):
-        build_preconditioner(f, s_mode=SMode.DENSE_FACTOR, y_mode=YMode.IMPLICIT)

@@ -16,7 +16,7 @@ from rowsplit import (
     solve_quasi_square_direct,
     stopping_ratio,
 )
-from rowsplit.oracle import dense_lls_solve
+from oracle import dense_lls_solve
 
 from conftest import csc, laauchli, rel_err
 
@@ -55,7 +55,6 @@ def test_error_estimate_requires_d_pairs():
 def test_stopping_ratio_values():
     assert stopping_ratio(0.0, 1.0, 1.0, 1.0) == 0.0
     assert stopping_ratio(1e-20, 1.0, 0.0, 1.0) == pytest.approx(1e-10)
-    assert stopping_ratio(1e-20, 1.0, 0.0, 1.0, raw=True) == pytest.approx(1e-20)
     with pytest.raises(ValueError):
         stopping_ratio(1.0, 0.0, 0.0, 0.0)
 
@@ -220,19 +219,6 @@ def test_pcgls_determinism():
     assert r1.to_dict() == r2.to_dict()
 
 
-def test_raw_ratio_certifies_earlier():
-    # dividing the squared estimate reaches a given delta sooner than
-    # its square root does; both runs must still converge
-    rng = np.random.default_rng(20)
-    A, b, norm_a = scaled_problem(rng, 40, 22)
-    f = ilup_factorize(A, IlupParams(p=6, tau=0.0))
-    pre = build_preconditioner(f, s_mode=SMode.INNER_CG, cg_iters=2)
-    _, rep_sqrt = pcgls(A, b, pre, CglsConfig(norm_A=norm_a, delta=1e-8))
-    _, rep_raw = pcgls(A, b, pre, CglsConfig(norm_A=norm_a, delta=1e-8, ratio_raw=True))
-    assert rep_sqrt.converged and rep_raw.converged
-    assert rep_raw.its <= rep_sqrt.its
-
-
 def test_all_coupling_modes_solve_end_to_end():
     # complete factors, weak coupling: each treatment of the coupling
     # system then genuinely solves the problem, with true accuracy
@@ -321,16 +307,15 @@ def test_quasi_square_square_case():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((7, 7)) + 3 * np.eye(7)
     b = rng.uniform(-1, 1, 7)
-    sol = solve_quasi_square_direct(csc(a), b)
-    assert sol.w.shape == (0,)
-    assert rel_err(sol.x, np.linalg.solve(a, b)) <= 1e-11
+    x = solve_quasi_square_direct(csc(a), b)
+    assert rel_err(x, np.linalg.solve(a, b)) <= 1e-11
 
 
 def test_quasi_square_laauchli():
     a = laauchli(1e-3)
-    sol = solve_quasi_square_direct(csc(a), [1.0, 0.0, 0.0])
+    x = solve_quasi_square_direct(csc(a), [1.0, 0.0, 0.0])
     want = dense_lls_solve(a, [1.0, 0.0, 0.0]).x_true
-    assert rel_err(sol.x, want) <= 1e-10
+    assert rel_err(x, want) <= 1e-10
 
 
 def test_quasi_square_random():
@@ -340,10 +325,9 @@ def test_quasi_square_random():
         m = n + int(rng.integers(1, 5))
         a = rng.standard_normal((m, n))
         b = rng.uniform(-1, 1, m)
-        sol = solve_quasi_square_direct(csc(a), b)
+        x = solve_quasi_square_direct(csc(a), b)
         want = dense_lls_solve(a, b).x_true
-        assert rel_err(sol.x, want) <= 1e-9
-        assert sol.s_condition >= 1.0
+        assert rel_err(x, want) <= 1e-9
 
 
 def test_direct_path_agrees_with_high_accuracy_iterative():
@@ -363,8 +347,8 @@ def test_direct_path_agrees_with_high_accuracy_iterative():
     assert report.converged
     x_iter = scaling.unscale_solution(y)
 
-    gap = np.linalg.norm(a @ (direct.x - x_iter))
-    assert gap <= 1e-8 * np.linalg.norm(a @ direct.x)
+    gap = np.linalg.norm(a @ (direct - x_iter))
+    assert gap <= 1e-8 * np.linalg.norm(a @ direct)
 
 
 def test_quasi_square_detects_rank_deficiency():

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from rowsplit import (
     CscMatrix,
-    DenseMatrix,
     MatrixMarketError,
     column_scale,
     dense_cholesky_factorize,
@@ -436,20 +435,20 @@ def test_read_rejects_malformed(tmp_path, text):
 
 
 def test_cholesky_identity():
-    f = dense_cholesky_factorize(DenseMatrix(np.eye(3)))
-    assert_array_equal(f.a, np.eye(3))
+    f = dense_cholesky_factorize(np.eye(3))
+    assert_array_equal(f, np.eye(3))
 
 
 def test_cholesky_hand_case():
-    f = dense_cholesky_factorize(DenseMatrix(np.array([[4.0, 2.0], [2.0, 5.0]])))
-    assert_allclose(f.a, [[2.0, 0.0], [1.0, 2.0]], rtol=0, atol=1e-15)
+    f = dense_cholesky_factorize(np.array([[4.0, 2.0], [2.0, 5.0]]))
+    assert_allclose(f, [[2.0, 0.0], [1.0, 2.0]], rtol=0, atol=1e-15)
 
 
 def test_cholesky_solve_residual():
     rng = np.random.default_rng(11)
     y = rng.standard_normal((6, 4))
     s = np.eye(6) + y @ y.T
-    f = dense_cholesky_factorize(DenseMatrix(s))
+    f = dense_cholesky_factorize(s)
     b = rng.standard_normal(6)
     x = dense_cholesky_solve(f, b)
     assert rel_err(s @ x, b) <= 1e-12
@@ -457,7 +456,7 @@ def test_cholesky_solve_residual():
 
 def test_cholesky_rejects_indefinite():
     with pytest.raises(np.linalg.LinAlgError):
-        dense_cholesky_factorize(DenseMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+        dense_cholesky_factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
