@@ -29,11 +29,9 @@ from .precond import SMode, build_preconditioner
 from .solver import CglsConfig, pcgls
 from .sparse_core import column_scale, power_method_norm2, read_matrix_market_ex
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _log = logging.getLogger("rowsplit")
-
-_S_MODES = {"dense": SMode.DENSE_FACTOR, "cg": SMode.INNER_CG, "identity": SMode.IDENTITY}
 
 
 @dataclass
@@ -44,7 +42,6 @@ class RunConfig:
     mu: float = 0.1
     small: float = 1e-10
     s_mode: str = "dense"
-    inner_cg_iters: int = 2
     delta: float = 1e-10
     max_iters: int = 2000
     estimator_delay: int = 5
@@ -65,13 +62,13 @@ def run_single(cfg: RunConfig) -> dict:
     norm_A = power_method_norm2(scaled, iters=cfg.power_iters, seed=cfg.rhs_seed)
     factors = ilup_factorize(scaled, IlupParams(p=cfg.p, tau=cfg.tau, mu=cfg.mu, small=cfg.small))
 
-    s_mode = _S_MODES[cfg.s_mode]
+    s_mode = SMode(cfg.s_mode)
     split = factors.L2.nrows
     if s_mode is SMode.DENSE_FACTOR and split > precond.DENSE_S_CAP:
         _log.warning("coupling block %d exceeds dense cap %d; falling back to inner CG",
                      split, precond.DENSE_S_CAP)
         s_mode = SMode.INNER_CG
-    pre = build_preconditioner(factors, s_mode=s_mode, cg_iters=cfg.inner_cg_iters)
+    pre = build_preconditioner(factors, s_mode=s_mode)
 
     solver_cfg = CglsConfig(
         norm_A=norm_A,
@@ -95,7 +92,6 @@ def run_single(cfg: RunConfig) -> dict:
             "mu": cfg.mu,
             "small": cfg.small,
             "s_mode": s_mode.value,
-            "inner_cg_iters": cfg.inner_cg_iters,
             "delta": cfg.delta,
             "max_iters": cfg.max_iters,
             "estimator_delay": cfg.estimator_delay,
@@ -199,10 +195,8 @@ def _add_solver_flags(sp):
     sp.add_argument("--tau", type=float, default=0.0, help="magnitude drop tolerance")
     sp.add_argument("--mu", type=float, default=0.1, help="pivot threshold in (0, 1]")
     sp.add_argument("--small", type=float, default=1e-10, help="minimum pivot magnitude")
-    sp.add_argument("--s-mode", choices=sorted(_S_MODES), default="dense",
+    sp.add_argument("--s-mode", choices=[m.value for m in SMode], default="dense",
                     help="how the coupling system is solved")
-    sp.add_argument("--cg-iters", type=int, default=2, dest="inner_cg_iters",
-                    help="inner CG steps when --s-mode cg")
     sp.add_argument("--delta", type=float, default=1e-10, help="stopping tolerance")
     sp.add_argument("--max-iters", type=int, default=2000)
     sp.add_argument("--delay", type=int, default=5, dest="estimator_delay",
@@ -239,7 +233,6 @@ def main(argv=None) -> int:
             matrix_path=args.matrix,
             p=args.p, tau=args.tau, mu=args.mu, small=args.small,
             s_mode=args.s_mode,
-            inner_cg_iters=args.inner_cg_iters,
             delta=args.delta, max_iters=args.max_iters,
             estimator_delay=args.estimator_delay,
             rhs_seed=args.rhs_seed, power_iters=args.power_iters,

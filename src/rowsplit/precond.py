@@ -3,11 +3,11 @@
 A factorization P A ~ (L1; L2) U splits the rows into a square leading
 block and a remainder.  The preconditioner applies the exact
 least-squares correction of that split, with the small coupling system
-S = I + Y Y^T (Y = L2 L1^{-1}) handled in one of three ways: assembled
-dense and Cholesky-factorized, solved approximately by a fixed number
-of conjugate-gradient steps, or replaced by the identity.  Y is stored
-as a sparse matrix exactly when S is assembled dense; otherwise it is
-applied implicitly through triangular solves.
+S = I + Y Y^T (Y = L2 L1^{-1}) handled in one of two ways: assembled
+dense and Cholesky-factorized, or solved approximately by a fixed number
+of conjugate-gradient steps.  Y is stored as a sparse matrix exactly
+when S is assembled dense; otherwise it is applied implicitly through
+triangular solves.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from .ilup import IlupFactors
 from .sparse_core import (
@@ -38,7 +39,6 @@ class SMode(enum.Enum):
 
     DENSE_FACTOR = "dense"
     INNER_CG = "cg"
-    IDENTITY = "identity"
 
 
 class UpdateFailedError(RuntimeError):
@@ -48,6 +48,10 @@ class UpdateFailedError(RuntimeError):
 # Largest coupling block (rows of L2) assembled and factorized dense; the
 # s x s S factor then takes 3.2 GB.
 DENSE_S_CAP = 20000
+
+# Conjugate-gradient steps of each inner-CG coupling solve; the count is
+# part of the preconditioner's definition.
+INNER_CG_STEPS = 2
 
 # Entries in one densified block of L2^T handed to the triangular solver
 # (512 KB).  On illc1850, blocks of 2^20 entries raised the peak memory of
@@ -81,13 +85,14 @@ def build_y_explicit(factors: IlupFactors) -> CscMatrix:
 
 
 def _gram_plus_identity(Y: CscMatrix) -> np.ndarray:
-    """Assemble I + Y Y^T (Fortran order), mirroring the lower triangle exactly."""
-    yd = Y.to_dense()
-    g = yd @ yd.T
-    low = np.tril(g)
-    s = np.asfortranarray(low + np.tril(g, -1).T)
-    s[np.arange(Y.nrows), np.arange(Y.nrows)] += 1.0
-    return s
+    """Lower triangle of I + Y Y^T (Fortran order; the strict upper triangle is zero)."""
+    s = Y.nrows
+    if s == 0:
+        # BLAS dsyrk rejects a 0 x 0 output with a message on stderr
+        return np.zeros((0, 0), order="F")
+    g = dsyrk(1.0, Y.to_dense().T, trans=1, lower=1)
+    g[np.diag_indices(s)] += 1.0
+    return g
 
 
 @dataclass
@@ -105,7 +110,6 @@ class RowSplitPreconditioner:
 
     factors: IlupFactors
     s_mode: SMode
-    cg_iters: int
     Y: CscMatrix | None
     S_factor: np.ndarray | None
     psize: int
@@ -146,9 +150,7 @@ class RowSplitPreconditioner:
     def _solve_s(self, u):
         if self.s_mode is SMode.DENSE_FACTOR:
             return dense_cholesky_solve(self.S_factor, u)
-        if self.s_mode is SMode.IDENTITY:
-            return np.array(u, dtype=np.float64, copy=True)
-        return _cg_fixed_steps(self.s_matvec_implicit, u, self.cg_iters)
+        return _cg_fixed_steps(self.s_matvec_implicit, u, INNER_CG_STEPS)
 
     # -- application -------------------------------------------------------
 
@@ -182,14 +184,13 @@ class RowSplitPreconditioner:
         The leading factor block is reused: the new row a adds one row l
         to L2 (l = U^{-T} a, solved through the cached U factor) and, in
         dense mode, one row to Y (L1^{-T} l, through the cached L1
-        factor) and a border to the S factor.  Raises ValueError for a
+        factor) and a border to the S factor; in inner-CG mode the L2 row
+        is the whole update.  Raises ValueError for a
         column index that is not an integer, out of range or repeated
         and for a non-finite value, UpdateFailedError when the bordered
         Cholesky pivot is not positive, and LinAlgError when U has a
         missing or zero diagonal.
         """
-        if self.s_mode is SMode.INNER_CG:
-            raise ValueError("row updates are supported for dense and identity S modes")
         f = self.factors
         s, n = f.L2.nrows, f.L2.ncols
         pattern = np.asarray(pattern)
@@ -232,7 +233,6 @@ class RowSplitPreconditioner:
         return RowSplitPreconditioner(
             factors=factors_new,
             s_mode=self.s_mode,
-            cg_iters=self.cg_iters,
             Y=Y_new,
             S_factor=S_new,
             psize=_psize(factors_new, Y_new, S_new),
@@ -240,14 +240,20 @@ class RowSplitPreconditioner:
 
 
 def _with_row(M: CscMatrix, x) -> CscMatrix:
-    """M with the nonzeros of the dense vector x appended as a last row."""
+    """M with the nonzeros of the dense vector x appended as a last row.
+
+    The new row index is the largest, so each new entry goes last in its
+    column: an O(nnz) insertion at the old column ends.
+    """
     pat = np.flatnonzero(x)
-    cols = np.repeat(np.arange(M.ncols, dtype=np.int64), M.column_counts())
-    return CscMatrix.from_coo(
+    added = np.zeros(M.ncols + 1, dtype=np.int64)
+    added[pat + 1] = 1
+    ends = M.col_ptr[pat + 1]
+    return CscMatrix(
         M.nrows + 1, M.ncols,
-        np.concatenate([M.row_idx, np.full(len(pat), M.nrows, dtype=np.int64)]),
-        np.concatenate([cols, pat]),
-        np.concatenate([M.values, x[pat]]),
+        M.col_ptr + np.cumsum(added),
+        np.insert(M.row_idx, ends, M.nrows),
+        np.insert(M.values, ends, x[pat]),
     )
 
 
@@ -294,16 +300,13 @@ def _psize(factors: IlupFactors, Y, S_factor) -> int:
 def build_preconditioner(
     factors: IlupFactors,
     s_mode: SMode = SMode.DENSE_FACTOR,
-    cg_iters: int = 2,
 ) -> RowSplitPreconditioner:
     """Assemble the applied preconditioner from factors.
 
-    Dense S mode stores Y and the Cholesky factor of S; the other modes
-    apply Y through triangular solves.  Raises ValueError when the dense
+    Dense S mode stores Y and the Cholesky factor of S; inner-CG mode
+    applies Y through triangular solves.  Raises ValueError when the dense
     mode is requested for a coupling block larger than DENSE_S_CAP.
     """
-    if cg_iters < 1:
-        raise ValueError("cg_iters must be >= 1")
     Y = S_factor = None
     if s_mode is SMode.DENSE_FACTOR:
         s = factors.L2.nrows
@@ -315,7 +318,6 @@ def build_preconditioner(
     return RowSplitPreconditioner(
         factors=factors,
         s_mode=s_mode,
-        cg_iters=cg_iters,
         Y=Y,
         S_factor=S_factor,
         psize=_psize(factors, Y, S_factor),

@@ -118,12 +118,12 @@ def pcgls(
     direction is computed from the residual split in pivot order, and
     rho = (A^T r, h) couples it with the true transposed residual.
 
-    While rho stays positive this is the textbook recursion.  Crude
-    coupling approximations (identity S in particular) make the
-    effective preconditioner indefinite, so rho can turn negative; the
-    step then falls back to the exact line minimizer along the current
-    direction, alpha = (z, p) / ||A p||^2, which coincides with the
-    textbook step in the positive regime and keeps the residual
+    While rho stays positive this is the textbook recursion.  The
+    residual-form application is not symmetric once the factors are
+    incomplete, in either S mode, so rho can and does turn negative;
+    the step then falls back to the exact line minimizer along the
+    current direction, alpha = (z, p) / ||A p||^2, which coincides with
+    the textbook step in the positive regime and keeps the residual
     non-increasing in general.  The estimator window stores the step
     decrement pair of whichever step was taken.
 
@@ -153,10 +153,7 @@ def pcgls(
 
         psize, nmod = pre.psize, pre.factors.nmod
     else:
-
-        def precondition(r):
-            return matvec_transpose(A, r)
-
+        precondition = None
         psize, nmod = 0, 0
 
     x = np.zeros(n)
@@ -186,7 +183,7 @@ def pcgls(
             gradient_norm_final=0.0,
         )
 
-    h = precondition(r)
+    h = z if precondition is None else precondition(r)
     rho = float(z @ h)
     p = h.copy()
     stopped_early = False
@@ -226,7 +223,7 @@ def pcgls(
         if float(z @ z) == 0.0:
             stopped_early = True
             break
-        h = precondition(r)
+        h = z if precondition is None else precondition(r)
         rho_new = float(z @ h)
         p = h + (rho_new / rho) * p if rho != 0.0 else h.copy()
         rho = rho_new

@@ -19,7 +19,6 @@ import pytest
 
 import rowsplit as rs
 from rowsplit.cli import RunConfig
-from rowsplit.precond import UpdateFailedError
 from rsbench.harness import to_csc
 from rsbench.tracing import HOOKS
 from rsbench.workloads import (
@@ -55,12 +54,11 @@ def test_workload_calls(name):
     assert y.shape == (problem.ncols,) and np.all(np.isfinite(y))
     assert 0 <= report.its <= 50
 
-    cols, vals = appended_rows(seed, problem.ncols)[0][0]
-    try:
-        grown = pre.add_row(cols, vals / scaling.scale[cols])
-    except (UpdateFailedError, ValueError):
-        return  # the benchmark rebuilds instead
-    assert grown.factors.nrows == problem.nrows + 1
+    # every workload folds all its appended rows in; none needs a rebuild
+    rows, _ = appended_rows(seed, problem.ncols)
+    for cols, vals in rows:
+        pre = pre.add_row(cols, vals / scaling.scale[cols])
+    assert pre.factors.nrows == problem.nrows + len(rows)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -84,14 +84,13 @@ def test_solve_exit_codes(identity_mtx, small_mtx, tmp_path, capsys):
 
 def test_solve_flags(small_mtx, capsys):
     code = main([
-        "solve", small_mtx, "--s-mode", "cg", "--cg-iters", "3",
+        "solve", small_mtx, "--s-mode", "cg",
         "--p", "4", "--tau", "0.05",
         "--delta", "1e-8", "--seed", "7", "--format", "json",
     ])
     out = json.loads(capsys.readouterr().out)
     assert code in (0, 2)
     assert out["params"]["s_mode"] == "cg"
-    assert out["params"]["inner_cg_iters"] == 3
     assert out["params"]["rhs_seed"] == 7
 
 
@@ -133,7 +132,7 @@ def test_wide_matrix_pipeline(tmp_path):
 
 def test_illc1850_dropped_factors_converge():
     path = require_matrix("illc1850.mtx")
-    rec = run_single(RunConfig(matrix_path=path, tau=0.1, s_mode="cg", inner_cg_iters=2))
+    rec = run_single(RunConfig(matrix_path=path, tau=0.1, s_mode="cg"))
     assert rec["converged"] and rec["its"] <= 60
     assert rec["nmod"] == 0
 

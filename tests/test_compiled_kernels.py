@@ -126,7 +126,7 @@ def _backward(U, b, unit):
 
 
 def dense_apply(pre, r1, r2):
-    """The preconditioner's formula evaluated densely in extended precision.
+    """The dense-S preconditioner's formula evaluated densely in extended precision.
 
     The factors, Y and the Cholesky factor of S are the preconditioner's
     own.  On illc1850 the U and L1 solves together amplify a relative
@@ -137,14 +137,9 @@ def dense_apply(pre, r1, r2):
     f = pre.factors
     L1 = f.L1.to_dense().astype(LD)  # unit diagonal implicit
     y = np.asarray(r1, dtype=LD)
-    if pre.s_mode is SMode.DENSE_FACTOR:
-        Y = pre.Y.to_dense().astype(LD)
-        G = pre.S_factor.astype(LD)
-        y = y + Y.T @ _backward(G.T, _forward(G, r2 - Y @ y, unit=False), unit=False)
-    elif pre.s_mode is SMode.IDENTITY:
-        L2 = f.L2.to_dense().astype(LD)
-        t = r2 - L2 @ _forward(L1, y, unit=True)
-        y = y + _backward(L1.T, L2.T @ t, unit=True)
+    Y = pre.Y.to_dense().astype(LD)
+    G = pre.S_factor.astype(LD)
+    y = y + Y.T @ _backward(G.T, _forward(G, r2 - Y @ y, unit=False), unit=False)
     v = _forward(L1, y, unit=True)
     return _backward(f.U.to_dense().astype(LD), v, unit=False)
 
@@ -158,18 +153,14 @@ def dense_apply_float64(pre, r1, r2):
         return scipy.linalg.solve_triangular(L1, b, lower=True, unit_diagonal=True, trans=trans)
 
     y = np.asarray(r1, dtype=np.float64)
-    if pre.s_mode is SMode.DENSE_FACTOR:
-        Y = pre.Y.to_dense()
-        y = y + Y.T @ scipy.linalg.cho_solve((pre.S_factor, True), r2 - Y @ y)
-    elif pre.s_mode is SMode.IDENTITY:
-        L2 = f.L2.to_dense()
-        y = y + l1_solve(L2.T @ (r2 - L2 @ l1_solve(y)), trans="T")
+    Y = pre.Y.to_dense()
+    y = y + Y.T @ scipy.linalg.cho_solve((pre.S_factor, True), r2 - Y @ y)
     return scipy.linalg.solve_triangular(f.U.to_dense(), l1_solve(y), lower=False)
 
 
 @pytest.mark.skipif(np.finfo(LD).eps >= np.finfo(np.float64).eps,
                     reason="the reference needs an extended-precision long double")
-@pytest.mark.parametrize("s_mode", [SMode.DENSE_FACTOR, SMode.IDENTITY])
+@pytest.mark.parametrize("s_mode", [SMode.DENSE_FACTOR])
 def test_apply_on_illc1850_matches_dense_reference(s_mode):
     """The compiled apply is as accurate as a float64 dense evaluation.
 

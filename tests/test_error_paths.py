@@ -144,7 +144,7 @@ def test_add_row_border_failure_signals():
         shrunk.add_row(np.arange(4), rng.standard_normal(4) * 10)
 
 
-@pytest.mark.parametrize("s_mode", [SMode.DENSE_FACTOR, SMode.IDENTITY])
+@pytest.mark.parametrize("s_mode", [SMode.DENSE_FACTOR, SMode.INNER_CG])
 @pytest.mark.parametrize("pattern, values, message", [
     ([-1], [1.0], "out of range"),
     ([4], [1.0], "out of range"),
@@ -179,15 +179,8 @@ def test_add_row_zero_u_diagonal_raises():
 def test_remove_rows_absent():
     rng = np.random.default_rng(4)
     f = ilup_factorize(csc(rng.standard_normal((6, 4))), IlupParams(p=6))
-    pre = build_preconditioner(f, s_mode=SMode.IDENTITY)
+    pre = build_preconditioner(f, s_mode=SMode.INNER_CG)
     assert not hasattr(pre, "remove_rows")
-
-
-def test_build_preconditioner_validates_cg_iters():
-    rng = np.random.default_rng(5)
-    f = ilup_factorize(csc(rng.standard_normal((6, 4))), IlupParams(p=6))
-    with pytest.raises(ValueError):
-        build_preconditioner(f, s_mode=SMode.INNER_CG, cg_iters=0)
 
 
 def test_error_estimate_rejects_bad_delay():

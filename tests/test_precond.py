@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import solve_triangular
 
 from rowsplit import (
     CscMatrix,
@@ -120,7 +124,7 @@ def test_y_build_equals_l2_times_inverse_l1(n, s, density, block_entries, seed):
 def test_y_apply_square_is_empty():
     rng = np.random.default_rng(2)
     f = factored(rng.standard_normal((4, 4)))
-    pre = build_preconditioner(f, s_mode=SMode.IDENTITY)
+    pre = build_preconditioner(f, s_mode=SMode.INNER_CG)
     assert pre.y_apply(rng.standard_normal(4)).shape == (0,)
     assert_array_equal(pre.y_apply_transpose(np.zeros(0)), np.zeros(4))
 
@@ -131,13 +135,13 @@ def test_y_apply_hand_case():
 
 
 def test_y_modes_agree():
-    # stored Y (dense S) against solves through the factors (identity S)
+    # stored Y (dense S) against solves through the factors (inner-CG S)
     rng = np.random.default_rng(3)
     for _ in range(10):
         n, s = int(rng.integers(3, 12)), int(rng.integers(1, 7))
         f = factored(rng.standard_normal((n + s, n)), p=4)
         pe = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-        pi = build_preconditioner(f, s_mode=SMode.IDENTITY)
+        pi = build_preconditioner(f, s_mode=SMode.INNER_CG)
         assert pe.Y is not None and pi.Y is None
         r1 = rng.standard_normal(n)
         w = rng.standard_normal(s)
@@ -154,13 +158,13 @@ def test_s_matvec_identity_l2_zero():
         nmod=0,
         row_counts_final=np.zeros(5, dtype=np.int64),
     )
-    pre = build_preconditioner(f, s_mode=SMode.IDENTITY)
+    pre = build_preconditioner(f, s_mode=SMode.INNER_CG)
     v = np.array([1.5, -2.0])
     assert_array_equal(pre.s_matvec_implicit(v), v)
 
 
 def test_s_matvec_hand_case():
-    pre = build_preconditioner(hand_factors([[1.0, 1.0]]), s_mode=SMode.IDENTITY)
+    pre = build_preconditioner(hand_factors([[1.0, 1.0]]), s_mode=SMode.INNER_CG)
     assert_array_equal(pre.s_matvec_implicit([2.0]), [6.0])
 
 
@@ -170,9 +174,9 @@ def test_s_matvec_matches_dense_gram():
         n, s = int(rng.integers(3, 12)), int(rng.integers(1, 8))
         f = factored(rng.standard_normal((n + s, n)), p=5)
         pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-        S = _gram_plus_identity(pre.Y)
+        low = _gram_plus_identity(pre.Y)
         v = rng.standard_normal(s)
-        want = S @ v
+        want = (low + np.tril(low, -1).T) @ v
         assert rel_err(pre.s_matvec_implicit(v), want) <= 1e-13
 
 
@@ -195,6 +199,14 @@ def test_assemble_s_trivial_cases():
     assert_array_equal(pre.S_factor, [[np.sqrt(3.0)]])
 
 
+def test_dense_build_without_split_rows_is_silent(capfd):
+    # BLAS rejects a 0 x 0 Gram product with a message on stderr
+    pre = build_preconditioner(hand_factors(np.zeros((0, 2))), s_mode=SMode.DENSE_FACTOR)
+    assert pre.S_factor.shape == (0, 0)
+    assert_array_equal(pre.apply([1.0, 2.0], np.zeros(0)), [1.0, 2.0])
+    assert capfd.readouterr().err == ""
+
+
 def test_assemble_s_matches_dense_gram():
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -204,7 +216,9 @@ def test_assemble_s_matches_dense_gram():
         yd = pre.Y.to_dense()
         want = np.eye(s) + yd @ yd.T
         S = _gram_plus_identity(pre.Y)
-        assert rel_err(S, want) <= 1e-13
+        # only the lower triangle is assembled; the Cholesky reads no more
+        assert rel_err(S, np.tril(want)) <= 1e-13
+        assert_array_equal(np.triu(S, 1), 0.0)
         assert S.flags.f_contiguous and pre.S_factor.flags.f_contiguous
         assert rel_err(pre.S_factor @ pre.S_factor.T, want) <= 1e-13
         # Cholesky pivots are strictly positive: the coupling matrix is SPD
@@ -219,7 +233,7 @@ def test_dense_mode_respects_cap(monkeypatch):
     monkeypatch.setattr(precond, "DENSE_S_CAP", 5)
     with pytest.raises(ValueError, match="dense cap 5"):
         build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-    build_preconditioner(f, s_mode=SMode.IDENTITY)
+    build_preconditioner(f, s_mode=SMode.INNER_CG)
 
 
 def test_psize_accounting():
@@ -298,18 +312,19 @@ def test_apply_incomplete_factors_match_woodbury_oracle():
 def test_apply_dimension_mismatch():
     rng = np.random.default_rng(11)
     f = factored(rng.standard_normal((7, 4)))
-    pre = build_preconditioner(f, s_mode=SMode.IDENTITY)
+    pre = build_preconditioner(f, s_mode=SMode.INNER_CG)
     with pytest.raises(ValueError):
         pre.apply(np.zeros(4), np.zeros(1))
 
 
-def test_inner_cg_limit_matches_dense_factor():
+def test_inner_cg_limit_matches_dense_factor(monkeypatch):
     rng = np.random.default_rng(12)
     for _ in range(10):
         n, s = int(rng.integers(4, 20)), int(rng.integers(1, 16))
         f = factored(well_conditioned_split(rng, n, s))
         pe = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-        pi = build_preconditioner(f, s_mode=SMode.INNER_CG, cg_iters=s)
+        pi = build_preconditioner(f, s_mode=SMode.INNER_CG)
+        monkeypatch.setattr(precond, "INNER_CG_STEPS", s)
         r1, r2 = rng.standard_normal(n), rng.standard_normal(s)
         ha, hb = pe.apply(r1, r2), pi.apply(r1, r2)
         assert rel_err(hb, ha) <= 1e-8
@@ -318,6 +333,27 @@ def test_inner_cg_limit_matches_dense_factor():
 # ---------------------------------------------------------------------------
 # row updates
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def matrix_and_row(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    entries = st.sampled_from([0.0, 0.0, 1.0, -2.5, 0.125])
+    return draw(arrays(np.float64, (nrows, ncols), elements=entries)), draw(
+        arrays(np.float64, ncols, elements=entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrix_and_row())
+@example(case=(np.zeros((0, 3)), np.array([1.0, 0.0, -2.5])))  # no rows yet
+@example(case=(np.eye(3), np.zeros(3)))  # all-zero row
+@example(case=(np.eye(3), np.array([4.0, 0.0, 0.0])))  # first column only
+@example(case=(np.eye(3)[:, ::-1], np.array([0.0, 0.0, 4.0])))  # last column only
+def test_with_row_matches_vstack(case):
+    a, x = case
+    grown = precond._with_row(CscMatrix.from_dense(a), x)
+    grown.validate()
+    assert_array_equal(grown.to_dense(), np.vstack([a, x]))
 
 
 def test_add_zero_row_keeps_action():
@@ -379,7 +415,7 @@ def test_add_row_incremental_matches_rebuild():
 @given(
     n=st.integers(1, 10),
     s=st.integers(0, 4),
-    s_mode=st.sampled_from([SMode.DENSE_FACTOR, SMode.IDENTITY]),
+    s_mode=st.sampled_from([SMode.DENSE_FACTOR, SMode.INNER_CG]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
@@ -391,7 +427,7 @@ def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
         pat = np.flatnonzero(row)
         pre = pre.add_row(pat, row[pat])
     rebuilt = build_preconditioner(pre.factors, s_mode)
-    assert (pre.Y is None) == (rebuilt.Y is None) == (s_mode is SMode.IDENTITY)
+    assert (pre.Y is None) == (rebuilt.Y is None) == (s_mode is SMode.INNER_CG)
     if s_mode is SMode.DENSE_FACTOR:
         assert_array_equal(pre.Y.col_ptr, rebuilt.Y.col_ptr)
         assert_array_equal(pre.Y.row_idx, rebuilt.Y.row_idx)
@@ -399,10 +435,45 @@ def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
     assert rel_err(pre.apply(r1, r2), rebuilt.apply(r1, r2)) <= 1e-10
 
 
-def test_add_row_rejected_for_inner_cg():
+def test_add_row_accepted_for_inner_cg():
+    """An inner-CG fold appends the same L2 row as a dense one and stores no Y or S."""
     rng = np.random.default_rng(19)
     f = factored(rng.standard_normal((7, 4)))
-    pre = build_preconditioner(f, s_mode=SMode.INNER_CG)
-    with pytest.raises(ValueError):
-        pre.add_row([0], [1.0])
+    grown = build_preconditioner(f, s_mode=SMode.INNER_CG).add_row([0, 2], [1.0, -3.0])
+    want = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR).add_row([0, 2], [1.0, -3.0])
+    assert grown.Y is None and grown.S_factor is None
+    assert grown.split_rows == f.L2.nrows + 1
+    assert grown.psize == f.L1.nnz + grown.factors.L2.nnz + f.U.nnz
+    mine, theirs = grown.factors.L2, want.factors.L2
+    assert_array_equal(mine.col_ptr, theirs.col_ptr)
+    assert_array_equal(mine.row_idx, theirs.row_idx)
+    assert_array_equal(mine.values, theirs.values)
+    assert_array_equal(grown.factors.row_perm.perm, want.factors.row_perm.perm)
 
+
+def test_inner_cg_add_row_matches_build_on_grown_factors():
+    """Inner-CG folds equal a fresh build on the grown factors.
+
+    The grown L2 also matches rows l = U^{-T} a appended densely, and a
+    build on that dense reference applies the same to rounding.
+    """
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        n, s = int(rng.integers(3, 12)), int(rng.integers(0, 5))
+        f = factored(rng.standard_normal((n + s, n)), p=4)
+        pre = build_preconditioner(f, s_mode=SMode.INNER_CG)
+        L2 = f.L2.to_dense()
+        for _ in range(3):
+            row = rng.standard_normal(n) * (rng.random(n) < 0.6)
+            pat = np.flatnonzero(row)
+            pre = pre.add_row(pat, row[pat])
+            L2 = np.vstack([L2, solve_triangular(f.U.to_dense(), row, trans="T")])
+        pre.factors.L2.validate()
+        assert rel_err(pre.factors.L2.to_dense(), L2) <= 1e-12
+        rebuilt = build_preconditioner(pre.factors, s_mode=SMode.INNER_CG)
+        assert pre.psize == rebuilt.psize
+        r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 3)
+        h = pre.apply(r1, r2)
+        assert_array_equal(h, rebuilt.apply(r1, r2))
+        reference = replace(pre.factors, L2=CscMatrix.from_dense(L2))
+        assert rel_err(h, build_preconditioner(reference, SMode.INNER_CG).apply(r1, r2)) <= 1e-10
