@@ -10,6 +10,16 @@ The result is a unit lower trapezoidal factor, split into its square
 top block L1 and the remaining rows L2, an upper triangular U, and the
 accumulated row permutation.
 
+The triangular solve for column j eliminates the reached pivot
+positions q < j in increasing order, popped from a min-heap: position q
+subtracts L column q times x at the row pivoted at q, and marks and
+queues the rows it reaches.  Increasing position is a topological order
+of that solve, because L column q holds only rows pivoted after q, so
+every update into the row at position q comes from a smaller position
+and is applied before q is popped.  The order is one and the same for
+every column, so the rounding of the factors does not depend on the
+sparsity of a column.
+
 Row interchanges are bookkept through the permutation; no stored data
 moves.  Factor entries are indexed by original row id internally and
 mapped to pivot positions at the end.
@@ -17,6 +27,7 @@ mapped to pivot positions at the end.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +68,7 @@ class IlupFactors:
     row_perm maps pivot positions to original rows.  L1 is n x n unit
     lower triangular with an implicit diagonal, L2 holds the remaining
     m - n rows, U is n x n upper triangular with every diagonal stored.
-    nmod counts pivots that had to be modified; row_counts_final is the
-    maintained row-count array (indexed by original row) at exit.
+    nmod counts pivots that had to be modified.
     """
 
     row_perm: Permutation
@@ -66,7 +76,6 @@ class IlupFactors:
     L2: CscMatrix
     U: CscMatrix
     nmod: int
-    row_counts_final: np.ndarray
 
     @property
     def nrows(self) -> int:
@@ -150,12 +159,6 @@ def modify_pivot(j, n, col_inf_norm, small) -> float:
     return max(beta * col_inf_norm, small)
 
 
-def remaining_row_counts(A: CscMatrix, start_col=0) -> np.ndarray:
-    """Entries per row of A restricted to columns >= start_col."""
-    lo = A.col_ptr[start_col]
-    return np.bincount(A.row_idx[lo:], minlength=A.nrows).astype(np.int64)
-
-
 def _dual_drop(ids, vals, p, tau):
     """Apply the dual dropping rule; returns entries sorted by id."""
     keep = (np.abs(vals) >= tau) & (vals != 0.0)
@@ -165,47 +168,6 @@ def _dual_drop(ids, vals, p, tau):
         ids, vals = ids[sel], vals[sel]
     order = np.argsort(ids)
     return ids[order], vals[order]
-
-
-def _reach_factor(seed_rows, pos_of, l_rows, mark, j):
-    """Depth-first reachability over the partial factor.
-
-    Nodes are original row ids; a node with pivot position below j
-    propagates through that position's L column.  Marks every node it
-    discovers.  Returns (discovered nodes, pivotal nodes in topological
-    order).
-    """
-    post = []
-    discovered = []
-    for s in seed_rows:
-        s = int(s)
-        if mark[s]:
-            continue
-        mark[s] = True
-        discovered.append(s)
-        if pos_of[s] >= j:
-            continue
-        stack = [(s, 0)]
-        while stack:
-            node, cursor = stack[-1]
-            children = l_rows[pos_of[node]]
-            advanced = False
-            while cursor < len(children):
-                child = int(children[cursor])
-                cursor += 1
-                if not mark[child]:
-                    mark[child] = True
-                    discovered.append(child)
-                    if pos_of[child] < j:
-                        stack[-1] = (node, cursor)
-                        stack.append((child, 0))
-                        advanced = True
-                        break
-            if not advanced:
-                stack.pop()
-                post.append(node)
-    post.reverse()
-    return discovered, post
 
 
 def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactors:
@@ -229,7 +191,7 @@ def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactor
     # current permutation: row_at[pos] = original row, pos_of = inverse
     row_at = np.arange(m, dtype=np.int64)
     pos_of = np.arange(m, dtype=np.int64)
-    rc = remaining_row_counts(A)
+    rc = np.bincount(A.row_idx, minlength=m)  # entries per row in columns >= j
 
     # per-column inf norms of A, used by pivot modification
     col_inf = np.zeros(n)
@@ -249,52 +211,30 @@ def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactor
     for j in range(n):
         arows, avals = A.column(j)
         x[arows] = avals
-
-        if j == 0 or len(arows) == 0:
-            mark[arows] = True
-            pattern = [arows]
-            u_sel_pos = np.empty(0, dtype=np.int64)
-            u_sel_val = np.empty(0)
-        elif len(arows) >= max(8, j // 8):
-            # dense-ish column: sweep pivot positions in order (that
-            # order is topological) and skip zero entries
-            mark[arows] = True
-            pattern = [arows]
-            u_pos_list, u_val_list = [], []
-            for q in range(j):
-                u = row_at[q]
-                xu = x[u]
-                if xu == 0.0:
-                    continue
-                u_pos_list.append(q)
-                u_val_list.append(xu)
-                lr = l_rows[q]
-                if len(lr):
-                    x[lr] -= l_vals[q] * xu
-                    fresh = lr[~mark[lr]]
-                    if len(fresh):
-                        mark[fresh] = True
-                        pattern.append(fresh)
-            u_sel_pos = np.asarray(u_pos_list, dtype=np.int64)
-            u_sel_val = np.asarray(u_val_list)
-        else:
-            # sparse column: depth-first reachability, then eliminate
-            # reached pivots in topological order
-            discovered, topo = _reach_factor(arows, pos_of, l_rows, mark, j)
-            pattern = [np.asarray(discovered, dtype=np.int64)]
-            u_pos_list, u_val_list = [], []
-            for u in topo:
-                xu = x[u]
-                if xu == 0.0:
-                    continue
-                q = pos_of[u]
-                u_pos_list.append(q)
-                u_val_list.append(xu)
-                lr = l_rows[q]
-                if len(lr):
-                    x[lr] -= l_vals[q] * xu
-            u_sel_pos = np.asarray(u_pos_list, dtype=np.int64)
-            u_sel_val = np.asarray(u_val_list)
+        mark[arows] = True
+        pattern = [arows]
+        # eliminate the reached pivot positions below j in increasing order
+        heap = [q for q in pos_of[arows].tolist() if q < j]
+        heapq.heapify(heap)
+        u_pos_list, u_val_list = [], []
+        while heap:
+            q = heapq.heappop(heap)
+            xu = x[row_at[q]]
+            if xu == 0.0:
+                continue
+            u_pos_list.append(q)
+            u_val_list.append(xu)
+            lr = l_rows[q]
+            x[lr] -= l_vals[q] * xu
+            fresh = lr[~mark[lr]]
+            if len(fresh):
+                mark[fresh] = True
+                pattern.append(fresh)
+                for k in pos_of[fresh].tolist():
+                    if k < j:
+                        heapq.heappush(heap, k)
+        u_sel_pos = np.asarray(u_pos_list, dtype=np.int64)
+        u_sel_val = np.asarray(u_val_list)
 
         # dual drop in the U column (diagonal is added afterwards)
         u_keep_pos, u_keep_val = _dual_drop(u_sel_pos, u_sel_val, params.p, params.tau)
@@ -364,5 +304,4 @@ def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactor
         L2=L2,
         U=U,
         nmod=nmod,
-        row_counts_final=rc,
     )

@@ -1,8 +1,9 @@
 """Dense reference implementations used to cross-check the sparse code.
 
 These are deliberately literal: normal equations solved by dense
-Cholesky, textbook partial-pivoting LU, and the low-rank correction
-formula evaluated exactly as written.  They are test fixtures, not
+Cholesky, textbook partial-pivoting LU, the threshold-pivoting ILU's
+rules on dense arrays, and the low-rank correction formula evaluated
+exactly as written.  They are test fixtures, not
 solvers, and refuse problems with more than a few hundred columns.
 """
 
@@ -100,3 +101,79 @@ def dense_woodbury_correction(A1, A2, r1, r2) -> np.ndarray:
     if agreement > 1e-11 * scale:
         raise AssertionError(f"correction forms disagree: {agreement / scale:.3e}")
     return delta
+
+
+def dense_ilup(a, params):
+    """Threshold-pivoting incomplete LU with dual dropping, on dense arrays.
+
+    The rules of the sparse factorization, written out densely.  Column
+    j is reduced by the columns q = 0..j-1 in order: the entry xu at the
+    row pivoted at q is skipped when it is zero, otherwise it is the U
+    entry (q, j) and x -= L[:, q] * xu.  The U entries then go through
+    the dual drop (magnitude at least tau, then the p largest, ties to
+    the lower position).  Among the rows not yet pivoted, those within
+    factor mu of the largest magnitude are eligible; the fewest entries
+    in columns >= j of the matrix wins, then the lowest position.  A
+    vanishing column or a pivot below params.small is replaced by
+    max(10**(-2 (1 - (j+1)/n)) * max|a[:, j]|, small).  The other rows,
+    divided by the pivot, are dropped by the same rule keyed on their
+    positions after the interchange.
+
+    ``params`` supplies p, tau, mu and small.  Returns (perm, L1, L2, U,
+    nmod) with perm[pos] the original row at pivot position pos, L1 the
+    strictly lower n x n block, L2 the remaining m - n rows and U upper
+    triangular, all dense.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    m, n = a.shape
+    if m < n:
+        raise ValueError("need m >= n")
+    if n > _MAX_COLS:
+        raise ValueError("oracle limited to small problems")
+    p, tau, mu, small = params.p, params.tau, params.mu, params.small
+
+    def drop(pos, vals):
+        kept = [i for i in range(len(pos)) if vals[i] != 0.0 and abs(vals[i]) >= tau]
+        kept = sorted(kept, key=lambda i: (-abs(vals[i]), pos[i]))[:p]
+        return sorted(kept, key=lambda i: pos[i])
+
+    perm = np.arange(m)
+    L = np.zeros((m, n))  # indexed by original row
+    U = np.zeros((n, n))
+    nmod = 0
+    for j in range(n):
+        x = a[:, j].copy()
+        u_pos, u_val = [], []
+        for q in range(j):
+            xu = x[perm[q]]
+            if xu == 0.0:
+                continue
+            u_pos.append(q)
+            u_val.append(xu)
+            x -= L[:, q] * xu
+        for i in drop(u_pos, u_val):
+            U[u_pos[i], j] = u_val[i]
+
+        active = [q for q in range(j, m) if x[perm[q]] != 0.0]
+        pivot_q = j
+        replace = not active
+        if active:
+            mags = np.abs(x[perm[active]])
+            eligible = [q for q, g in zip(active, mags) if g >= mu * mags.max()]
+            counts = np.count_nonzero(a[:, j:], axis=1)
+            pivot_q = min(eligible, key=lambda q: (counts[perm[q]], q))
+            replace = abs(x[perm[pivot_q]]) < small
+        pivot = x[perm[pivot_q]]
+        if replace:
+            beta = 10.0 ** (-2.0 * (1.0 - (j + 1) / n))
+            pivot = max(beta * np.abs(a[:, j]).max(), small)
+            nmod += 1
+        U[j, j] = pivot
+        perm[[j, pivot_q]] = perm[[pivot_q, j]]
+
+        below = [q for q in range(j + 1, m) if x[perm[q]] != 0.0]
+        vals = [x[perm[q]] / pivot for q in below]
+        for i in drop(below, vals):
+            L[perm[below[i]], j] = vals[i]
+
+    return perm, L[perm[:n]], L[perm[n:]], U, nmod

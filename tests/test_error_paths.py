@@ -7,17 +7,19 @@ from rowsplit import (
     CscMatrix,
     IlupParams,
     MatrixMarketError,
-    Permutation,
     SMode,
     build_preconditioner,
-    dense_cholesky_factorize,
-    dense_cholesky_solve,
-    error_estimate,
     ilup_factorize,
     pcgls,
     power_method_norm2,
     read_matrix_market,
     solve_quasi_square_direct,
+)
+from rowsplit.solver import error_estimate
+from rowsplit.sparse_core import (
+    Permutation,
+    dense_cholesky_factorize,
+    dense_cholesky_solve,
     sparse_lower_solve,
     sparse_lower_solve_transpose,
     sparse_upper_solve_transpose,

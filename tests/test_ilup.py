@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from rowsplit import CscMatrix, IlupParams, choose_pivot, column_scale, ilup_factorize, modify_pivot
-from rowsplit.ilup import remaining_row_counts
-from oracle import dense_lu_pp
+from rowsplit import CscMatrix, IlupParams, column_scale, ilup_factorize
+from rowsplit.ilup import choose_pivot, modify_pivot
+from oracle import dense_ilup, dense_lu_pp
 
 from conftest import csc, random_sparse, rel_err
 
@@ -68,8 +70,8 @@ def test_dropping_caps_and_stability_bound():
 
 
 def test_mixed_density_columns_reconstruct():
-    # sparse leading columns use the reachability solve, the dense tail
-    # uses the position sweep; both feed the same factors
+    # sparse leading columns and a dense tail: without dropping, the
+    # factors reproduce the permuted matrix
     rng = np.random.default_rng(7)
     a = rng.standard_normal((60, 40)) * (rng.random((60, 40)) < 0.08)
     a[:, 30:] += rng.standard_normal((60, 10)) * (rng.random((60, 10)) < 0.8)
@@ -131,6 +133,45 @@ def test_determinism_bit_identical():
         assert_array_equal(x.row_idx, y.row_idx)
         assert_array_equal(x.values, y.values)
     assert f1.nmod == f2.nmod
+
+
+@st.composite
+def ilup_case(draw):
+    """A matrix with m >= n, optional dense rows and columns, and params.
+
+    Integer-valued entries make exact cancellations, so skipped zeros
+    and modified pivots occur too.
+    """
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(n, 55))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        vals = rng.integers(-2, 3, (m, n)).astype(float)
+    else:
+        vals = rng.standard_normal((m, n))
+    a = vals * (rng.random((m, n)) < draw(st.floats(0.05, 0.6)))
+    a[rng.choice(m, size=min(draw(st.integers(0, 3)), m), replace=False)] = rng.standard_normal(n)
+    cols = rng.choice(n, size=min(draw(st.integers(0, 2)), n), replace=False)
+    a[:, cols] = rng.standard_normal((m, len(cols)))
+    params = IlupParams(
+        p=draw(st.integers(1, m + 1)),
+        tau=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        mu=draw(st.sampled_from([0.1, 0.5, 1.0])),
+    )
+    return a, params
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=ilup_case())
+def test_matches_dense_reference_bitwise(case):
+    a, params = case
+    f = ilup_factorize(csc(a), params)
+    perm, L1, L2, U, nmod = dense_ilup(a, params)
+    assert_array_equal(f.row_perm.perm, perm)
+    assert f.nmod == nmod
+    assert_array_equal(f.L1.to_dense(), L1)
+    assert_array_equal(f.L2.to_dense(), L2)
+    assert_array_equal(f.U.to_dense(), U)
 
 
 def test_rejects_wide_and_empty():
@@ -223,37 +264,3 @@ def test_modify_pivot_early_columns_floor():
     assert val == pytest.approx(1e-2, rel=1e-3)
     assert modify_pivot(0, 10 ** 6, 0.0, 1e-10) == 1e-10
     assert modify_pivot(3, 7, 0.0, 1e-10) >= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# row counts
-# ---------------------------------------------------------------------------
-
-
-def test_initial_row_counts():
-    a = np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 0.0], [3.0, 0.0, 4.0]])
-    assert_array_equal(remaining_row_counts(csc(a)), [3, 1, 2])
-
-
-def test_row_counts_decrement_per_column():
-    a = np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 0.0], [3.0, 0.0, 4.0]])
-    A = csc(a)
-    before = remaining_row_counts(A, 1)
-    after = remaining_row_counts(A, 2)
-    # column 1 held the only remaining entry of row 1
-    assert before[1] - after[1] == 1
-    assert after[1] == 0
-
-
-def test_row_counts_incremental_matches_recompute():
-    rng = np.random.default_rng(6)
-    a = random_sparse(rng, 20, 12, density=0.3, strengthen=0.4)
-    A = csc(a)
-    rc = remaining_row_counts(A, 0)
-    for j in range(12):
-        rows, _ = A.column(j)
-        rc[rows] -= 1
-        assert_array_equal(rc, remaining_row_counts(A, j + 1))
-    # the maintained array inside the factorization ends at all zeros
-    f = ilup_factorize(A, IlupParams(p=20))
-    assert_array_equal(f.row_counts_final, np.zeros(20, dtype=np.int64))

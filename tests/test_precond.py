@@ -12,15 +12,13 @@ from rowsplit import (
     CscMatrix,
     IlupFactors,
     IlupParams,
-    Permutation,
     SMode,
     build_preconditioner,
-    build_y_explicit,
     column_scale,
     ilup_factorize,
-    sparse_lower_solve,
-    sparse_upper_solve,
 )
+from rowsplit.precond import build_y_explicit
+from rowsplit.sparse_core import Permutation, sparse_lower_solve, sparse_upper_solve
 from oracle import dense_lls_solve, dense_woodbury_correction
 from rowsplit import precond
 from rowsplit.precond import _gram_plus_identity
@@ -39,7 +37,6 @@ def hand_factors(L2_dense, n=None):
         L2=csc(L2_dense) if s else CscMatrix.from_coo(0, n, [], [], []),
         U=CscMatrix.identity(n),
         nmod=0,
-        row_counts_final=np.zeros(n + s, dtype=np.int64),
     )
 
 
@@ -89,7 +86,6 @@ def random_unit_lower_factors(rng, n, s, density):
         L2=CscMatrix.from_dense(L2.reshape(s, n)),
         U=CscMatrix.identity(n),
         nmod=0,
-        row_counts_final=np.zeros(n + s, dtype=np.int64),
     )
 
 
@@ -156,7 +152,6 @@ def test_s_matvec_identity_l2_zero():
         L2=CscMatrix.from_coo(2, 3, [], [], []),
         U=CscMatrix.identity(3),
         nmod=0,
-        row_counts_final=np.zeros(5, dtype=np.int64),
     )
     pre = build_preconditioner(f, s_mode=SMode.INNER_CG)
     v = np.array([1.5, -2.0])
@@ -188,7 +183,6 @@ def test_assemble_s_trivial_cases():
         L2=CscMatrix.from_coo(1, 2, [], [], []),
         U=CscMatrix.identity(2),
         nmod=0,
-        row_counts_final=np.zeros(3, dtype=np.int64),
     )
     pre = build_preconditioner(f0, s_mode=SMode.DENSE_FACTOR)
     assert_array_equal(_gram_plus_identity(pre.Y), np.eye(1))

@@ -9,14 +9,13 @@ from rowsplit import (
     SMode,
     build_preconditioner,
     column_scale,
-    error_estimate,
     ilup_factorize,
-    matvec_transpose,
     pcgls,
     power_method_norm2,
     solve_quasi_square_direct,
-    stopping_ratio,
 )
+from rowsplit.solver import error_estimate, stopping_ratio
+from rowsplit.sparse_core import matvec_transpose
 from rowsplit import solver
 from oracle import dense_lls_solve
 

@@ -6,13 +6,15 @@ from rowsplit import (
     CscMatrix,
     MatrixMarketError,
     column_scale,
+    power_method_norm2,
+    read_matrix_market,
+    read_matrix_market_ex,
+)
+from rowsplit.sparse_core import (
     dense_cholesky_factorize,
     dense_cholesky_solve,
     matvec,
     matvec_transpose,
-    power_method_norm2,
-    read_matrix_market,
-    read_matrix_market_ex,
     sparse_lower_solve,
     sparse_lower_solve_transpose,
     sparse_upper_solve,
