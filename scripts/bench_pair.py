@@ -1,12 +1,11 @@
 """Paired benchmark runs of a parent revision against the working tree.
 
-    python3 scripts/bench_pair.py --label NAME --what TEXT [--parent REV] [--seeds 1-5]
-                                  [--workload W ...]
+    python3 scripts/bench_pair.py --label NAME --what TEXT [--parent REV]
 
 Run from the repository root.  The parent revision (default HEAD) is
 exported with ``git archive`` into a temporary directory; the working
 tree, uncommitted edits included, is the change.  For every workload
-listed in BENCHMARK.json (or each --workload) and every seed,
+listed in BENCHMARK.json and each of the seeds 1-10,
 ``rsbench/run.py --trace 0`` runs once in each tree, one process at a
 time: odd seeds run the parent first, even seeds the change first.  The
 run length, the end-to-end metrics and their bounds come from
@@ -38,16 +37,12 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 11)
 
 
 def _git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
-
-
-def _seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
 
 
 def _machine() -> str:
@@ -124,14 +119,11 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--what", required=True, help="one line on what is compared")
     parser.add_argument("--parent", default="HEAD", help="revision to compare against")
-    parser.add_argument("--seeds", default="1-5", help="inclusive range, e.g. 1-5")
-    parser.add_argument("--workload", action="append", help="default: all of BENCHMARK.json")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = int(bench["run_seconds"])
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seeds = _seeds(args.seeds)
+    workloads = [w["name"] for w in bench["workloads"]]
     commit = _git("rev-parse", "--short", args.parent)
     trees = {"after": ROOT}
     runs = []
@@ -142,7 +134,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
         trees["before"] = tmp
         for wl in workloads:
-            for seed in seeds:
+            for seed in SEEDS:
                 for side in ("before", "after") if seed % 2 else ("after", "before"):
                     rec = run_once(trees[side], wl, seed, seconds)
                     runs.append({"side": side, "workload": wl, "seed": seed,
@@ -158,8 +150,9 @@ def main(argv=None) -> int:
         "what": args.what,
         "command": f"python3 rsbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
         "machine": _machine(),
-        "order": (f"seeds {args.seeds} per workload; odd seeds run the parent first, even seeds"
-                  " run the change first; workloads in the order listed; one process at a time"),
+        "order": (f"seeds {SEEDS[0]}-{SEEDS[-1]} per workload; odd seeds run the parent first,"
+                  " even seeds run the change first; workloads in the order listed; one process"
+                  " at a time"),
         "wall_ms": "wall time of each run.py process, recorded per run",
         "summary": summarize(runs, workloads, bench["end_to_end"]),
         "runs": runs,
