@@ -15,7 +15,8 @@ Writes BENCH_<label>.json with every run (result line, wall time and the
 report's solve summary) and a summary per workload and metric: the
 medians of both sides, their ratio, the parent's interquartile range
 over its median, the number of pairs the change won, whether the
-parent's own spread is wider than the bound (``unresolved``) and whether
+parent's own spread is wider than the bound while some run of the change
+reads no better than some run of the parent (``unresolved``) and whether
 the change stays inside the bound.  The temporary tree is removed at the
 end.
 """
@@ -96,6 +97,8 @@ def summarize(runs: list[dict], workloads: list[str], metrics: list[dict]) -> di
             ratio = a_med / b_med if b_med else (1.0 if a_med == b_med else float("inf"))
             sign = 1.0 if m["better"] == "lower" else -1.0
             spread = _iqr_over_median(before)
+            # a spread wider than the bound hides no change that separates every run
+            separated = max(sign * a for a in after) < min(sign * b for b in before)
             out[name] = {
                 "before_median": round(b_med, 6),
                 "after_median": round(a_med, 6),
@@ -104,7 +107,7 @@ def summarize(runs: list[dict], workloads: list[str], metrics: list[dict]) -> di
                 "before_iqr_over_median": round(spread, 4),
                 "after_better_pairs": sum(sign * (a - b) < 0 for a, b in zip(after, before)),
                 "pairs": len(pairs),
-                "unresolved": spread > bound,
+                "unresolved": spread > bound and not separated,
                 "within_bound": sign * (ratio - 1.0) <= bound,
             }
         out["failed_max"] = max((r["result"]["failed"] for r in mine), default=0)

@@ -176,7 +176,8 @@ def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactor
     Never breaks down: a column whose active part vanishes, or whose
     selected pivot is smaller than params.small, gets a modified pivot
     instead (counted in nmod).  Deterministic: ties in pivoting and
-    dropping are broken by index.
+    dropping are broken by index.  Raises ValueError for an empty or
+    wide matrix and for a non-finite value.
     """
     if params is None:
         params = IlupParams()
@@ -185,6 +186,8 @@ def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactor
         raise ValueError("empty matrix")
     if m < n:
         raise ValueError(f"need nrows >= ncols, got {m} x {n}")
+    if not np.all(np.isfinite(A.values)):
+        raise ValueError("matrix has non-finite values")
 
     ptr, avals_all = A.col_ptr, A.values
 

@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
 
@@ -53,44 +54,23 @@ DENSE_S_CAP = 20000
 # part of the preconditioner's definition.
 INNER_CG_STEPS = 2
 
-# Entries in one densified block of L2^T handed to the triangular solver
-# (512 KB).  On illc1850, blocks of 2^20 entries raised the peak memory of
-# a set-up by up to 12 MB and saved no time.
-_Y_BLOCK_ENTRIES = 1 << 16
 
+def build_y_explicit(factors: IlupFactors) -> np.ndarray:
+    """Y^T = L1^{-T} L2^T as a dense n x (m-n) array.
 
-def build_y_explicit(factors: IlupFactors) -> CscMatrix:
-    """Materialize Y = L2 L1^{-1} as a sparse (m-n) x n matrix.
-
-    Solves L1^T Y^T = L2^T through the cached L1 factor, on densified
-    column blocks of L2^T of at most _Y_BLOCK_ENTRIES entries, and keeps
-    the nonzeros of each solved block.
+    One block solve of L1^T Y^T = L2^T through the cached L1 factor, with
+    all of L2^T densified as the right-hand sides.
     """
-    s, n = factors.L2.nrows, factors.L2.ncols
-    L2_rows = factors.L2._scipy().tocsr()
-    step = max(1, _Y_BLOCK_ENTRIES // max(n, 1))
-    rows_out, cols_out, vals_out = [], [], []
-    for i0 in range(0, s, step):
-        block = L2_rows[i0:i0 + step].toarray().T
-        yt = sparse_lower_solve_transpose(factors.L1, block, unit_diag=True)
-        cols, rows = np.nonzero(yt)
-        rows_out.append(rows + i0)
-        cols_out.append(cols)
-        vals_out.append(yt[cols, rows])
-    if not rows_out:
-        return CscMatrix.from_coo(s, n, [], [], [])
-    return CscMatrix.from_coo(
-        s, n, np.concatenate(rows_out), np.concatenate(cols_out), np.concatenate(vals_out)
-    )
+    return sparse_lower_solve_transpose(factors.L1, factors.L2.to_dense().T, unit_diag=True)
 
 
-def _gram_plus_identity(Y: CscMatrix) -> np.ndarray:
-    """Lower triangle of I + Y Y^T (Fortran order; the strict upper triangle is zero)."""
-    s = Y.nrows
+def _gram_plus_identity(yt: np.ndarray) -> np.ndarray:
+    """Lower triangle of I + Y Y^T from the dense Y^T (Fortran order, zero above)."""
+    s = yt.shape[1]
     if s == 0:
         # BLAS dsyrk rejects a 0 x 0 output with a message on stderr
         return np.zeros((0, 0), order="F")
-    g = dsyrk(1.0, Y.to_dense().T, trans=1, lower=1)
+    g = dsyrk(1.0, yt, trans=1, lower=1)
     g[np.diag_indices(s)] += 1.0
     return g
 
@@ -138,19 +118,13 @@ class RowSplitPreconditioner:
             self.factors.L1, matvec_transpose(self.factors.L2, w), unit_diag=True
         )
 
-    def s_matvec_implicit(self, v):
-        """(I + L2 L1^{-1} L1^{-T} L2^T) @ v without forming Y."""
-        t = matvec_transpose(self.factors.L2, np.asarray(v, dtype=np.float64))
-        t = sparse_lower_solve_transpose(self.factors.L1, t, unit_diag=True)
-        t = sparse_lower_solve(self.factors.L1, t, unit_diag=True)
-        return np.asarray(v, dtype=np.float64) + matvec(self.factors.L2, t)
-
     # -- S solve -----------------------------------------------------------
 
     def _solve_s(self, u):
         if self.s_mode is SMode.DENSE_FACTOR:
             return dense_cholesky_solve(self.S_factor, u)
-        return _cg_fixed_steps(self.s_matvec_implicit, u, INNER_CG_STEPS)
+        return _cg_fixed_steps(lambda v: v + self.y_apply(self.y_apply_transpose(v)), u,
+                               INNER_CG_STEPS)
 
     # -- application -------------------------------------------------------
 
@@ -312,8 +286,12 @@ def build_preconditioner(
         s = factors.L2.nrows
         if s > DENSE_S_CAP:
             raise ValueError(f"coupling block of size {s} exceeds the dense cap {DENSE_S_CAP}")
-        Y = build_y_explicit(factors)
-        S_factor = dense_cholesky_factorize(_gram_plus_identity(Y))
+        yt = build_y_explicit(factors)
+        lower = _gram_plus_identity(yt)
+        y_csc = sp.csc_array(yt.T)  # keeps non-finite values: the Cholesky rejects them
+        Y = CscMatrix(s, factors.ncols, y_csc.indptr, y_csc.indices, y_csc.data)
+        del yt  # not held through the Cholesky, which copies the s x s lower triangle
+        S_factor = dense_cholesky_factorize(lower)
 
     return RowSplitPreconditioner(
         factors=factors,

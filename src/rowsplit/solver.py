@@ -31,6 +31,8 @@ class CglsConfig:
     estimator_delay: int = 5
 
     def __post_init__(self):
+        if not (np.isfinite(self.norm_A) and self.norm_A >= 0.0):
+            raise ValueError("norm_A must be finite and >= 0")
         if self.delta <= 0.0:
             raise ValueError("delta must be > 0")
         if self.estimator_delay < 1:
@@ -129,9 +131,10 @@ def pcgls(
 
     Stops when the delayed error estimate drives the stopping ratio
     below cfg.delta, at the iteration cap, or when no direction makes
-    progress; the last case is reported as breakdown unless the
-    remaining partial estimates already certify convergence.  Raises
-    ValueError when b has the wrong length or a non-finite entry.
+    progress.  The last case tries the remaining partial estimates; the
+    last of them sums an empty window, is 0 and always certifies, so the
+    report's breakdown is never True.  Raises ValueError when b has the
+    wrong length or a non-finite entry.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.nrows,):

@@ -5,11 +5,11 @@ solver) works with the types defined here: CscMatrix for sparse data,
 Permutation for row reorderings and ColumnScaling for the
 unit-column-norm prescaling; small dense blocks are plain Fortran-order
 numpy arrays.  All values are float64; all index arrays are int64.  The
-kernels hand the work to scipy: products go through a scipy CSC view,
-triangular solves through a SuperLU object and dense Cholesky through
-LAPACK.  A CscMatrix builds these compiled forms on first use and caches
-them, so its arrays must not be mutated after it has been used in a
-kernel.
+work is scipy's: triplet assembly and densification go through scipy
+sparse arrays, products through a scipy CSC view, triangular solves
+through a SuperLU object and dense Cholesky through LAPACK.  A CscMatrix
+builds these compiled forms on first use and caches them, so its arrays
+must not be mutated after it has been used in a kernel.
 """
 
 from __future__ import annotations
@@ -105,27 +105,13 @@ class CscMatrix:
 
     @staticmethod
     def from_coo(nrows, ncols, rows, cols, vals):
-        """Build from triplets: duplicates are summed, zeros dropped."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if len(rows):
-            order = np.lexsort((rows, cols))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-            # sum runs of identical (col, row)
-            new_run = np.empty(len(rows), dtype=bool)
-            new_run[0] = True
-            new_run[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            run_id = np.cumsum(new_run) - 1
-            summed = np.zeros(run_id[-1] + 1)
-            np.add.at(summed, run_id, vals)
-            rows, cols = rows[new_run], cols[new_run]
-            keep = summed != 0.0
-            rows, cols, vals = rows[keep], cols[keep], summed[keep]
-        col_ptr = np.zeros(ncols + 1, dtype=np.int64)
-        np.add.at(col_ptr, cols + 1, 1)
-        np.cumsum(col_ptr, out=col_ptr)
-        return CscMatrix(nrows, ncols, col_ptr, rows, vals)
+        """Build from triplets: duplicates are summed, zeros dropped.
+
+        Raises ValueError for a row or column index outside the shape.
+        """
+        M = sp.coo_array((vals, (rows, cols)), shape=(nrows, ncols), dtype=np.float64).tocsc()
+        M.eliminate_zeros()
+        return CscMatrix(nrows, ncols, M.indptr, M.indices, M.data)
 
     @staticmethod
     def from_dense(a, drop_below=0.0):
@@ -141,11 +127,7 @@ class CscMatrix:
         return CscMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     def to_dense(self):
-        out = np.zeros((self.nrows, self.ncols))
-        if self.nnz:
-            cols = np.repeat(np.arange(self.ncols), self.column_counts())
-            out[self.row_idx, cols] = self.values
-        return out
+        return self._scipy().toarray()
 
     def transpose(self) -> "CscMatrix":
         cols = np.repeat(np.arange(self.ncols, dtype=np.int64), self.column_counts())
@@ -300,12 +282,15 @@ def column_scale(A: CscMatrix):
     """Scale every column of A to unit 2-norm.
 
     Returns (scaled matrix, ColumnScaling with the original norms).
-    Raises ValueError naming the first empty column, if any.
+    Raises ValueError naming the first empty column, if any, and for a
+    non-finite value.
     """
     counts = A.column_counts()
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         raise ValueError(f"cannot scale zero column {empty[0]}")
+    if not np.all(np.isfinite(A.values)):
+        raise ValueError("matrix has non-finite values")
     sq = np.zeros(A.ncols)
     sq[:] = np.add.reduceat(A.values * A.values, A.col_ptr[:-1])
     norms = np.sqrt(sq)

@@ -5,10 +5,12 @@ from numpy.testing import assert_array_equal
 from rowsplit import (
     CglsConfig,
     CscMatrix,
+    IlupFactors,
     IlupParams,
     MatrixMarketError,
     SMode,
     build_preconditioner,
+    column_scale,
     ilup_factorize,
     pcgls,
     power_method_norm2,
@@ -237,3 +239,38 @@ def test_pcgls_rejects_non_finite_rhs():
     A = csc([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         pcgls(A, np.array([1.0, np.nan, 0.0]), None, CglsConfig(norm_A=3.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_column_scale_rejects_non_finite(bad):
+    A = CscMatrix(3, 2, [0, 2, 3], [0, 2, 1], [1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        column_scale(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ilup_rejects_non_finite(bad):
+    A = CscMatrix(3, 2, [0, 2, 3], [0, 2, 1], [bad, 1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        ilup_factorize(A, IlupParams(p=3))
+
+
+@pytest.mark.parametrize("norm_A", [np.inf, np.nan, -1.0])
+def test_cgls_config_rejects_bad_norm(norm_A):
+    with pytest.raises(ValueError, match="norm_A"):
+        CglsConfig(norm_A=norm_A)
+    # the estimate of a zero matrix stays valid
+    assert CglsConfig(norm_A=0.0).norm_A == 0.0
+
+
+def test_dense_build_with_overflowing_y_raises_linalg_error():
+    # finite factors whose Y = L2 L1^{-1} overflows: the Cholesky of S names it
+    f = IlupFactors(
+        row_perm=Permutation.identity(3),
+        L1=CscMatrix(2, 2, [0, 1, 1], [1], [1e200]),
+        L2=CscMatrix(1, 2, [0, 1, 2], [0, 0], [1e200, 1e200]),
+        U=CscMatrix.identity(2),
+        nmod=0,
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from rowsplit import (
@@ -43,6 +45,64 @@ def test_from_coo_sums_duplicates_and_drops_zeros():
     assert A.nnz == 1
     assert A.to_dense()[0, 0] == 5.0
     A.validate()
+
+
+@st.composite
+def triplets(draw):
+    """A shape (possibly with no rows or columns) and in-range triplets.
+
+    Cells repeat often, and a drawn prefix of the triplets is appended
+    again with negated values, so some cells cancel exactly.
+    """
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    k = draw(st.integers(0, 30)) if nrows and ncols else 0
+    rows = draw(st.lists(st.integers(0, max(nrows - 1, 0)), min_size=k, max_size=k))
+    cols = draw(st.lists(st.integers(0, max(ncols - 1, 0)), min_size=k, max_size=k))
+    vals = draw(st.lists(
+        st.sampled_from([0.0, 1.0, -1.0, 0.1, -0.3]) | st.floats(-1e3, 1e3),
+        min_size=k, max_size=k))
+    j = draw(st.integers(0, k))
+    rows, cols = rows + rows[:j], cols + cols[:j]
+    vals = vals + [-v for v in vals[:j]]
+    return nrows, ncols, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), \
+        np.array(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triplets())
+def test_from_coo_matches_dense_accumulation(case):
+    nrows, ncols, rows, cols, vals = case
+    A = CscMatrix.from_coo(nrows, ncols, rows, cols, vals).validate()
+    assert (A.nrows, A.ncols) == (nrows, ncols)
+    want = np.zeros((nrows, ncols))
+    np.add.at(want, (rows, cols), vals)
+    count = np.zeros((nrows, ncols), dtype=np.int64)
+    np.add.at(count, (rows, cols), 1)
+    mass = np.zeros((nrows, ncols))
+    np.add.at(mass, (rows, cols), np.abs(vals))
+    got = A.to_dense()
+    # one or two summands add the same in any order; with more, each
+    # further addition may round differently, by at most one ulp of the
+    # cell's summed magnitudes
+    few = count <= 2
+    assert_array_equal(got[few], want[few])
+    slack = np.maximum(count - 1, 0) * np.spacing(mass)
+    assert np.all(np.abs(got - want)[~few] <= slack[~few])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nrows=st.integers(0, 5),
+    ncols=st.integers(0, 5),
+    axis=st.sampled_from([0, 1]),
+    past=st.integers(0, 3),
+    negative=st.booleans(),
+)
+def test_from_coo_rejects_index_outside_shape(nrows, ncols, axis, past, negative):
+    index = [0, 0]
+    index[axis] = -1 - past if negative else (nrows, ncols)[axis] + past
+    with pytest.raises(ValueError):
+        CscMatrix.from_coo(nrows, ncols, [index[0]], [index[1]], [1.0])
 
 
 def test_validate_rejects_stored_zero():
