@@ -11,8 +11,10 @@ time: odd seeds run the parent first, even seeds the change first.  The
 run length, the end-to-end metrics and their bounds come from
 BENCHMARK.json.
 
-Writes BENCH_<label>.json with every run (result line, wall time and the
-report's solve summary) and a summary per workload and metric: the
+Writes BENCH_<label>.json with every run (result line, wall time, the
+report's solve summary and its count of row folds that add_row refused)
+and a summary per workload: the largest failed-operation count of any
+run, the largest refused-fold count of each side, and per metric the
 medians of both sides, their ratio, the parent's interquartile range
 over its median, the number of pairs the change won, whether the
 parent's own spread is wider than the bound while some run of the change
@@ -60,7 +62,8 @@ def _machine() -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One rsbench process; returns its wall time, result line and solve summary."""
+    """One rsbench process; returns its wall time, result line, solve summary and
+    count of refused row folds (each one a rebuild in rsbench)."""
     cmd = [sys.executable, "rsbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     t0 = time.perf_counter()
@@ -72,7 +75,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     lines = proc.stdout.splitlines()
     first_comment = next(i for i, line in enumerate(lines) if line.startswith("# "))
     report = json.loads("\n".join(lines[:first_comment]))
-    return {"wall_ms": wall_ms, "result": json.loads(lines[-1]), "solves": report["solves"]}
+    return {"wall_ms": wall_ms, "result": json.loads(lines[-1]), "solves": report["solves"],
+            "refused_folds": sum(f is not None for f in report["updates"]["failures"])}
 
 
 def _iqr_over_median(values) -> float:
@@ -111,6 +115,9 @@ def summarize(runs: list[dict], workloads: list[str], metrics: list[dict]) -> di
                 "within_bound": sign * (ratio - 1.0) <= bound,
             }
         out["failed_max"] = max((r["result"]["failed"] for r in mine), default=0)
+        out["refused_folds_max"] = {
+            side: max((r["refused_folds"] for r in mine if r["side"] == side), default=0)
+            for side in ("before", "after")}
         out["all_correct"] = all(r["result"]["correct"] for r in mine)
         summary[wl] = out
     return summary
@@ -145,7 +152,8 @@ def main(argv=None) -> int:
                                  **rec})
                     res = rec["result"]
                     print(f"{wl} seed {seed} {side}: correct={res['correct']} "
-                          f"failed={res['failed']} wall {rec['wall_ms']} ms", flush=True)
+                          f"failed={res['failed']} refused_folds={rec['refused_folds']} "
+                          f"wall {rec['wall_ms']} ms", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 

@@ -5,7 +5,7 @@ block and a remainder.  The preconditioner applies the exact
 least-squares correction of that split, with the small coupling system
 S = I + Y Y^T (Y = L2 L1^{-1}) handled in one of two ways: assembled
 dense and Cholesky-factorized, or solved approximately by a fixed number
-of conjugate-gradient steps.  Y is stored as a sparse matrix exactly
+of conjugate-gradient steps.  Y is stored, as the sparse matrix Y^T, exactly
 when S is assembled dense; otherwise it is applied implicitly through
 triangular solves.
 """
@@ -13,11 +13,10 @@ triangular solves.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsyrk
 
 from .ilup import IlupFactors
@@ -26,6 +25,7 @@ from .sparse_core import (
     Permutation,
     dense_cholesky_factorize,
     dense_cholesky_solve,
+    dense_lower_solve,
     matvec,
     matvec_transpose,
     sparse_lower_solve,
@@ -43,7 +43,7 @@ class SMode(enum.Enum):
 
 
 class UpdateFailedError(RuntimeError):
-    """Row update broke positive definiteness; refactorize instead."""
+    """Row update overflowed (a non-finite factor row or pivot); refactorize instead."""
 
 
 # Largest coupling block (rows of L2) assembled and factorized dense; the
@@ -53,6 +53,17 @@ DENSE_S_CAP = 20000
 # Conjugate-gradient steps of each inner-CG coupling solve; the count is
 # part of the preconditioner's definition.
 INNER_CG_STEPS = 2
+
+# A fold keeps the bordered pivot d^2 = 1 + y.y - cp.cp while it holds at
+# least half its digits, d^2 >= HALF_DIGITS (1 + y.y): there it matches a
+# rebuild's Cholesky to rounding.  Past that it takes the equal sum of
+# squares, which cannot cancel (see add_row).
+HALF_DIGITS = float(np.sqrt(np.finfo(np.float64).eps))
+
+# A fold that must copy the S factor and Y^T leaves room for
+# max(FOLD_ROOM, s // 8) more rows: a bounded step, not a doubling, so
+# from s = 8 * FOLD_ROOM on the copy of S is about 1.27 times s x s.
+FOLD_ROOM = 32
 
 
 def build_y_explicit(factors: IlupFactors) -> np.ndarray:
@@ -75,24 +86,66 @@ def _gram_plus_identity(yt: np.ndarray) -> np.ndarray:
     return g
 
 
+@dataclass(eq=False)
+class _FoldArrays:
+    """Dense-S arrays with room for more folds, shared by objects folded from one another.
+
+    S holds the rows of the S factor written so far in a Fortran-order
+    buffer with room for more; idx and val hold the row indices and
+    values of Y^T's columns, with room past the used prefix.  rows is
+    the split-row count of the newest object on these arrays: only that
+    object writes its next row in place, a fold from any other copies
+    first.
+    """
+
+    S: np.ndarray
+    idx: np.ndarray
+    val: np.ndarray
+    rows: int
+
+    @staticmethod
+    def copy_of(Yt: CscMatrix, S_factor: np.ndarray, k: int) -> "_FoldArrays":
+        """Copies of Y^T's entries and of the S factor, with room for
+        max(FOLD_ROOM, s // 8) more rows, and as many Y^T columns of k entries."""
+        s, nnz = Yt.ncols, Yt.nnz
+        room = max(FOLD_ROOM, s // 8)
+        S = np.zeros((s + room, s + room), order="F")
+        S[:s, :s] = S_factor
+        idx = np.empty(nnz + room * k, dtype=np.int64)
+        val = np.empty(nnz + room * k)
+        idx[:nnz] = Yt.row_idx
+        val[:nnz] = Yt.values
+        return _FoldArrays(S, idx, val, s)
+
+
 @dataclass
 class RowSplitPreconditioner:
     """Applied form of the row-splitting preconditioner.
 
-    Immutable once built.  apply() returns the same result for the same
-    input and is safe to call from multiple threads; its first call
+    Immutable once built: add_row returns a new object, and this one
+    applies exactly as before.  apply() returns the same result for the
+    same input and is safe to call from multiple threads; its first call
     caches compiled triangular solvers on the factors (concurrent first
-    calls may each build one).  Y and the lower Cholesky factor of S
-    (Fortran order) are stored in dense S mode and None otherwise.
-    psize counts every stored entry used in the application: the three
-    factors, Y, and the dense triangle of the S factor.
+    calls may each build one).  Concurrent add_row calls on one object
+    are not thread-safe.
+
+    In dense S mode Yt holds Y^T (n x s, one column per row of L2) and
+    S_buffer holds the lower Cholesky factor of S in its leading s x s
+    block (Fortran order); both are None in inner-CG mode.  A built
+    object's S_buffer is exactly s x s.  A folded object's is a buffer
+    with room for more rows, shared with the objects folded from it (see
+    add_row); its S solves read the leading block in place, with the
+    same arithmetic as on a copy of it.  psize counts every stored entry
+    used in the application: the three factors, Y, and the s x s
+    triangle of the S factor, not the room.
     """
 
     factors: IlupFactors
     s_mode: SMode
-    Y: CscMatrix | None
-    S_factor: np.ndarray | None
+    Yt: CscMatrix | None
+    S_buffer: np.ndarray | None
     psize: int
+    _fold: _FoldArrays | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -102,18 +155,25 @@ class RowSplitPreconditioner:
     def split_rows(self) -> int:
         return self.factors.L2.nrows
 
+    @property
+    def S_factor(self) -> np.ndarray | None:
+        """The s x s lower Cholesky factor of S (a view of S_buffer), or None."""
+        if self.S_buffer is None:
+            return None
+        return self.S_buffer[:self.split_rows, :self.split_rows]
+
     # -- Y application ----------------------------------------------------
 
     def y_apply(self, r1):
-        """Y @ r1, stored or through L1/L2."""
-        if self.Y is not None:
-            return matvec(self.Y, r1)
+        """Y @ r1, stored (as Y^T) or through L1/L2."""
+        if self.Yt is not None:
+            return matvec_transpose(self.Yt, r1)
         return matvec(self.factors.L2, sparse_lower_solve(self.factors.L1, r1, unit_diag=True))
 
     def y_apply_transpose(self, w):
         """Y.T @ w, stored or through L1/L2."""
-        if self.Y is not None:
-            return matvec_transpose(self.Y, w)
+        if self.Yt is not None:
+            return matvec(self.Yt, w)
         return sparse_lower_solve_transpose(
             self.factors.L1, matvec_transpose(self.factors.L2, w), unit_diag=True
         )
@@ -122,7 +182,7 @@ class RowSplitPreconditioner:
 
     def _solve_s(self, u):
         if self.s_mode is SMode.DENSE_FACTOR:
-            return dense_cholesky_solve(self.S_factor, u)
+            return dense_cholesky_solve(self.S_buffer, u)
         return _cg_fixed_steps(lambda v: v + self.y_apply(self.y_apply_transpose(v)), u,
                                INNER_CG_STEPS)
 
@@ -155,15 +215,33 @@ class RowSplitPreconditioner:
         """Return a new preconditioner for the matrix with one appended row.
 
         The row holds values at the distinct integer columns in pattern.
-        The leading factor block is reused: the new row a adds one row l
-        to L2 (l = U^{-T} a, solved through the cached U factor) and, in
-        dense mode, one row to Y (L1^{-T} l, through the cached L1
-        factor) and a border to the S factor; in inner-CG mode the L2 row
-        is the whole update.  Raises ValueError for a
-        column index that is not an integer, out of range or repeated
-        and for a non-finite value, UpdateFailedError when the bordered
-        Cholesky pivot is not positive, and LinAlgError when U has a
-        missing or zero diagonal.
+        The leading factor block is reused: the new row a adds one row
+        l = U^{-T} a to L2 and, in dense mode, one column y = L1^{-T} l
+        to Y^T and one row (cp, d) to the S factor L, where cp = L^{-1} c
+        and c = Y y couples y with the stored rows.  The pivot is
+        d^2 = 1 + y.y - cp.cp, as a Cholesky factorization of the
+        assembled S computes it, while that keeps half its digits
+        (HALF_DIGITS); past that it is the equal sum of squares
+        1 + ||w||^2 + ||y - Y^T w||^2 with w = S^{-1} c, which cannot
+        cancel, so no finite row is refused.  In inner-CG mode the L2
+        row is the whole update.
+
+        A dense fold costs a product with the stored Y, a sweep with the
+        S factor (and, for the sum of squares, one more of each) and the
+        insertion of the L2 row: O(nnz(Y) + s^2 + nnz(L2)), with no copy
+        of S.  The S factor and Y^T grow in place, in arrays with room
+        for max(FOLD_ROOM, s // 8) more rows that are shared by the
+        objects folded from one another.  A fold from an object that is
+        not the newest on its arrays, or that finds no room, copies them
+        first (copy on write), so every object stays immutable; the
+        first fold from a built object always copies.  Concurrent
+        add_row calls on one object are not thread-safe.
+
+        Raises ValueError for a column index that is not an integer, out
+        of range or repeated and for a non-finite value,
+        UpdateFailedError when the new row overflows (a non-finite L2
+        row or pivot), and LinAlgError when U has a missing or zero
+        diagonal.
         """
         f = self.factors
         s, n = f.L2.nrows, f.L2.ncols
@@ -183,52 +261,62 @@ class RowSplitPreconditioner:
         a = np.zeros(n)
         a[pattern] = values
         l = sparse_upper_solve_transpose(f.U, a)
+        if not np.all(np.isfinite(l)):
+            raise UpdateFailedError("new L2 row overflowed; refactorization needed")
         m = f.nrows
         perm_new = Permutation(
             np.append(f.row_perm.perm, m), np.append(f.row_perm.inv, m)
         )
         factors_new = replace(f, L2=_with_row(f.L2, l), row_perm=perm_new)
+        if self.s_mode is not SMode.DENSE_FACTOR:
+            return RowSplitPreconditioner(factors_new, self.s_mode, None, None,
+                                          _psize(factors_new, None))
 
-        Y_new = S_new = None
-        if self.s_mode is SMode.DENSE_FACTOR:
-            y = sparse_lower_solve_transpose(f.L1, l, unit_diag=True)
-            Y_new = _with_row(self.Y, y)
-            c = matvec(self.Y, y)  # couplings with the existing rows
+        Yt = self.Yt
+        y = sparse_lower_solve_transpose(f.L1, l, unit_diag=True)
+        c = matvec_transpose(Yt, y)
+        cp = dense_lower_solve(self.S_buffer, c)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             diag = 1.0 + y @ y
-            cp = solve_triangular(self.S_factor, c, lower=True, check_finite=False)
             d_sq = diag - cp @ cp
-            if d_sq <= 0.0:
-                raise UpdateFailedError("bordered pivot not positive; refactorization needed")
-            S_new = np.zeros((s + 1, s + 1), order="F")
-            S_new[:s, :s] = self.S_factor
-            S_new[s, :s] = cp
-            S_new[s, s] = np.sqrt(d_sq)
+            if not d_sq >= HALF_DIGITS * diag:
+                w = dense_lower_solve(self.S_buffer, cp, trans=True)
+                d_sq = 1.0 + w @ w + np.sum((y - matvec(Yt, w)) ** 2)
+        if not np.isfinite(d_sq):
+            raise UpdateFailedError("bordered pivot overflowed; refactorization needed")
 
-        return RowSplitPreconditioner(
-            factors=factors_new,
-            s_mode=self.s_mode,
-            Y=Y_new,
-            S_factor=S_new,
-            psize=_psize(factors_new, Y_new, S_new),
-        )
+        pat = np.flatnonzero(y)
+        lo, hi = Yt.nnz, Yt.nnz + len(pat)
+        fold = self._fold
+        if fold is None or fold.rows != s or s == fold.S.shape[0] or hi > len(fold.idx):
+            fold = _FoldArrays.copy_of(Yt, self.S_factor, len(pat))
+        fold.S[s, :s] = cp
+        fold.S[s, s] = np.sqrt(d_sq)
+        fold.idx[lo:hi] = pat
+        fold.val[lo:hi] = y[pat]
+        fold.rows = s + 1
+        Yt_new = CscMatrix(n, s + 1, np.append(Yt.col_ptr, hi), fold.idx[:hi], fold.val[:hi])
+        return RowSplitPreconditioner(factors_new, self.s_mode, Yt_new, fold.S,
+                                      _psize(factors_new, Yt_new), fold)
 
 
 def _with_row(M: CscMatrix, x) -> CscMatrix:
     """M with the nonzeros of the dense vector x appended as a last row.
 
     The new row index is the largest, so each new entry goes last in its
-    column: an O(nnz) insertion at the old column ends.
+    column: one O(nnz) pass places the old entries around the new ones.
     """
     pat = np.flatnonzero(x)
     added = np.zeros(M.ncols + 1, dtype=np.int64)
     added[pat + 1] = 1
-    ends = M.col_ptr[pat + 1]
-    return CscMatrix(
-        M.nrows + 1, M.ncols,
-        M.col_ptr + np.cumsum(added),
-        np.insert(M.row_idx, ends, M.nrows),
-        np.insert(M.values, ends, x[pat]),
-    )
+    at = M.col_ptr[pat + 1] + np.arange(len(pat))  # the new entries' positions
+    old = np.ones(M.nnz + len(pat), dtype=bool)
+    old[at] = False
+    row_idx = np.empty(len(old), dtype=np.int64)
+    values = np.empty(len(old))
+    row_idx[old], row_idx[at] = M.row_idx, M.nrows
+    values[old], values[at] = M.values, x[pat]
+    return CscMatrix(M.nrows + 1, M.ncols, M.col_ptr + np.cumsum(added), row_idx, values)
 
 
 def _cg_fixed_steps(op, u, iters):
@@ -261,13 +349,11 @@ def _cg_fixed_steps(op, u, iters):
     return w
 
 
-def _psize(factors: IlupFactors, Y, S_factor) -> int:
+def _psize(factors: IlupFactors, Yt) -> int:
     size = factors.L1.nnz + factors.L2.nnz + factors.U.nnz
-    if Y is not None:
-        size += Y.nnz
-    if S_factor is not None:
-        s = S_factor.shape[0]
-        size += s * (s + 1) // 2
+    if Yt is not None:
+        s = factors.L2.nrows
+        size += Yt.nnz + s * (s + 1) // 2
     return size
 
 
@@ -277,26 +363,26 @@ def build_preconditioner(
 ) -> RowSplitPreconditioner:
     """Assemble the applied preconditioner from factors.
 
-    Dense S mode stores Y and the Cholesky factor of S; inner-CG mode
+    Dense S mode stores Y^T and the Cholesky factor of S; inner-CG mode
     applies Y through triangular solves.  Raises ValueError when the dense
     mode is requested for a coupling block larger than DENSE_S_CAP.
     """
-    Y = S_factor = None
+    Yt = S_factor = None
     if s_mode is SMode.DENSE_FACTOR:
         s = factors.L2.nrows
         if s > DENSE_S_CAP:
             raise ValueError(f"coupling block of size {s} exceeds the dense cap {DENSE_S_CAP}")
         yt = build_y_explicit(factors)
         lower = _gram_plus_identity(yt)
-        y_csc = sp.csc_array(yt.T)  # keeps non-finite values: the Cholesky rejects them
-        Y = CscMatrix(s, factors.ncols, y_csc.indptr, y_csc.indices, y_csc.data)
+        y_csc = sp.csc_array(yt)  # keeps non-finite values: the Cholesky rejects them
+        Yt = CscMatrix(factors.ncols, s, y_csc.indptr, y_csc.indices, y_csc.data)
         del yt  # not held through the Cholesky, which copies the s x s lower triangle
         S_factor = dense_cholesky_factorize(lower)
 
     return RowSplitPreconditioner(
         factors=factors,
         s_mode=s_mode,
-        Y=Y,
-        S_factor=S_factor,
-        psize=_psize(factors, Y, S_factor),
+        Yt=Yt,
+        S_buffer=S_factor,
+        psize=_psize(factors, Yt),
     )

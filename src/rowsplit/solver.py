@@ -50,7 +50,8 @@ class SolveReport:
     factors can do that) certifies even though little progress was
     made; gradient_norm_final, the final ||A^T r||, exposes that case:
     it is tiny for a genuinely solved problem and stays large under
-    stagnation.
+    stagnation.  breakdown means the run stopped before the cap because
+    no direction made progress, and no estimate certified it.
     """
 
     its: int
@@ -130,11 +131,12 @@ def pcgls(
     decrement pair of whichever step was taken.
 
     Stops when the delayed error estimate drives the stopping ratio
-    below cfg.delta, at the iteration cap, or when no direction makes
-    progress.  The last case tries the remaining partial estimates; the
-    last of them sums an empty window, is 0 and always certifies, so the
-    report's breakdown is never True.  Raises ValueError when b has the
-    wrong length or a non-finite entry.
+    below cfg.delta, at the iteration cap, when the gradient A^T r
+    vanishes exactly (which certifies the current iterate), or when no
+    direction makes progress.  The last case tries the partial
+    estimates of the windows that still hold at least one step, and
+    reports breakdown when none of them certifies.  Raises ValueError
+    when b has the wrong length or a non-finite entry.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.nrows,):
@@ -224,17 +226,20 @@ def pcgls(
 
         z = matvec_transpose(A, r)
         if float(z @ z) == 0.0:
-            stopped_early = True
+            # x is a least-squares solution: its error, and ratio, are 0
+            history.append(0.0)
+            converged = True
+            its_certified = iters_run
             break
         h = z if precondition is None else precondition(r)
         rho_new = float(z @ h)
         p = h + (rho_new / rho) * p if rho != 0.0 else h.copy()
         rho = rho_new
 
-    if stopped_early and not converged:
+    if stopped_early:
         # the process cannot continue; the missing window terms are at
         # the attainable-accuracy floor, so partial sums stay honest
-        for i in range(max(0, iters_run - d + 1), iters_run + 1):
+        for i in range(max(0, iters_run - d + 1), iters_run):
             estim = float(sum(a * s for a, s in zip(alphas[i:], sigmas[i:])))
             ratio = stopping_ratio(estim, cfg.norm_A, x_norms[i], b_norm)
             history.append(ratio)

@@ -7,18 +7,22 @@ unit-column-norm prescaling; small dense blocks are plain Fortran-order
 numpy arrays.  All values are float64; all index arrays are int64.  The
 work is scipy's: triplet assembly and densification go through scipy
 sparse arrays, products through a scipy CSC view, triangular solves
-through a SuperLU object and dense Cholesky through LAPACK.  A CscMatrix
-builds these compiled forms on first use and caches them, so its arrays
-must not be mutated after it has been used in a kernel.
+through a SuperLU object, dense Cholesky through LAPACK and its
+triangular sweeps through BLAS (called through ctypes, so that a sweep
+can use the leading block of a larger array).  A CscMatrix builds these
+compiled forms on first use and caches them, so its arrays must not be
+mutated after it has been used in a kernel.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import cython_blas
 from scipy.sparse.linalg import splu
 
 
@@ -56,10 +60,11 @@ class CscMatrix:
         key = "transpose" if transpose else "csc"
         view = self._compiled.get(key)
         if view is None:
-            view = sp.csc_array((self.values, self.row_idx, self.col_ptr),
-                                shape=(self.nrows, self.ncols))
             if transpose:
-                view = view.T
+                view = self._scipy().T
+            else:
+                view = sp.csc_array((self.values, self.row_idx, self.col_ptr),
+                                    shape=(self.nrows, self.ncols))
             self._compiled[key] = view
         return view
 
@@ -478,9 +483,57 @@ def dense_cholesky_factorize(S) -> np.ndarray:
     return np.asfortranarray(scipy.linalg.cholesky(S, lower=True, check_finite=False))
 
 
-def dense_cholesky_solve(factor, b) -> np.ndarray:
-    """Solve S x = b given the lower Cholesky factor of S."""
-    if np.shape(b) != (factor.shape[0],):
+def _dtrsm_with_leading_dimension():
+    """BLAS dtrsm from scipy's Cython BLAS table, as a ctypes function.
+
+    scipy.linalg.blas.dtrsm takes the order of the triangle from the
+    array's shape; this one takes it and the leading dimension apart, so
+    a solve can use the leading block of a larger Fortran-order array in
+    place, with the same arithmetic as on a copy of that block.
+    """
+    capsule = cython_blas.__pyx_capi__["dtrsm"]
+    api = ctypes.pythonapi
+    api.PyCapsule_GetName.restype = ctypes.c_char_p
+    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    signature = api.PyCapsule_GetName(capsule)
+    if signature.count(b"int *") != 4:  # 32-bit BLAS integers, as declared below
+        raise ImportError(f"unexpected BLAS dtrsm signature {signature!r}")
+    char, i, v = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    proto = ctypes.CFUNCTYPE(None, char, char, char, char, i, i,
+                             ctypes.POINTER(ctypes.c_double), v, i, v, i)
+    return proto(api.PyCapsule_GetPointer(capsule, signature))
+
+
+_dtrsm = _dtrsm_with_leading_dimension()
+
+
+def dense_lower_solve(factor, b, trans=False) -> np.ndarray:
+    """Solve L x = b, or L^T x = b with trans, for the leading len(b) block L of factor.
+
+    factor is a lower-triangular array of at least len(b) rows and
+    columns; nothing past the leading block is read, so factor may be a
+    buffer with room for more rows.  One BLAS dtrsm on the block in
+    place, which gives the same x as on a copy of the block.
+    """
+    factor = np.asfortranarray(factor, dtype=np.float64)
+    x = np.array(b, dtype=np.float64)
+    if x.ndim != 1 or factor.ndim != 2 or min(factor.shape) < len(x):
         raise ValueError("right-hand side length mismatch")
-    return scipy.linalg.cho_solve((factor, True), np.asarray(b, dtype=np.float64),
-                                  check_finite=False)
+    s = len(x)
+    if s:
+        n, one = ctypes.c_int(s), ctypes.c_int(1)
+        _dtrsm(b"L", b"L", b"T" if trans else b"N", b"N", n, one, ctypes.c_double(1.0),
+               factor.ctypes.data, ctypes.c_int(factor.shape[0]), x.ctypes.data, n)
+    return x
+
+
+def dense_cholesky_solve(factor, b) -> np.ndarray:
+    """Solve S x = b given the lower Cholesky factor of S.
+
+    The factor is the leading len(b) block of `factor`, as in
+    dense_lower_solve: a forward and a back sweep, LAPACK potrs's
+    arithmetic.
+    """
+    return dense_lower_solve(factor, dense_lower_solve(factor, b), trans=True)

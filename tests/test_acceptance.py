@@ -265,7 +265,7 @@ def test_criterion_09_mode_cross_equivalence(monkeypatch):
         ta = pe.y_apply_transpose(w)
         worst_y = max(worst_y, rel_err(pi.y_apply_transpose(w), ta))
 
-        low = _gram_plus_identity(pe.Y.to_dense().T)
+        low = _gram_plus_identity(pe.Yt.to_dense())
         sv = (low + np.tril(low, -1).T) @ w
         worst_s = max(worst_s, rel_err(w + pi.y_apply(pi.y_apply_transpose(w)), sv))
 
@@ -321,8 +321,8 @@ def test_criterion_11_add_row_update():
         pat = np.flatnonzero(row)
         updated = pre.add_row(pat, row[pat])
         rebuilt = build_preconditioner(updated.factors, s_mode=SMode.DENSE_FACTOR)
-        S_inc = _gram_plus_identity(updated.Y.to_dense().T)
-        S_reb = _gram_plus_identity(rebuilt.Y.to_dense().T)
+        S_inc = _gram_plus_identity(updated.Yt.to_dense())
+        S_reb = _gram_plus_identity(rebuilt.Yt.to_dense())
         worst_s = max(worst_s, rel_err(S_inc, S_reb))
         r1 = rng.standard_normal(n)
         r2 = rng.standard_normal(m - n + 1)

@@ -140,7 +140,7 @@ def dense_apply(pre, r1, r2):
     f = pre.factors
     L1 = f.L1.to_dense().astype(LD)  # unit diagonal implicit
     y = np.asarray(r1, dtype=LD)
-    Y = pre.Y.to_dense().astype(LD)
+    Y = pre.Yt.to_dense().T.astype(LD)
     G = pre.S_factor.astype(LD)
     y = y + Y.T @ _backward(G.T, _forward(G, r2 - Y @ y, unit=False), unit=False)
     v = _forward(L1, y, unit=True)
@@ -156,7 +156,7 @@ def dense_apply_float64(pre, r1, r2):
         return scipy.linalg.solve_triangular(L1, b, lower=True, unit_diagonal=True, trans=trans)
 
     y = np.asarray(r1, dtype=np.float64)
-    Y = pre.Y.to_dense()
+    Y = pre.Yt.to_dense().T
     y = y + Y.T @ scipy.linalg.cho_solve((pre.S_factor, True), r2 - Y @ y)
     return scipy.linalg.solve_triangular(f.U.to_dense(), l1_solve(y), lower=False)
 

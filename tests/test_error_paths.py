@@ -136,16 +136,26 @@ def test_factor_validate_catches_tampering():
 
 
 def test_add_row_border_failure_signals():
+    """A finite row whose new factor entries overflow is refused by name.
+
+    The bordered pivot is a sum of squares and cannot go negative, so the
+    update-failure signal is left to overflow: at 1e200 the pivot
+    overflows (dense mode only has one), at 1e308 already the L2 row
+    U^{-T} a does (either mode).  A refused fold leaves the object as it
+    was.
+    """
     rng = np.random.default_rng(3)
     f = ilup_factorize(csc(rng.standard_normal((7, 4))), IlupParams(p=7))
     pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-    # a numerically inconsistent coupling factor makes the bordered
-    # pivot go negative, which must surface as the update-failure signal
-    import dataclasses
-
-    shrunk = dataclasses.replace(pre, S_factor=pre.S_factor * 1e-4)
-    with pytest.raises(UpdateFailedError):
-        shrunk.add_row(np.arange(4), rng.standard_normal(4) * 10)
+    r1, r2 = rng.standard_normal(4), rng.standard_normal(3)
+    before = pre.apply(r1, r2)
+    with pytest.raises(UpdateFailedError, match="pivot overflowed"):
+        pre.add_row(np.arange(4), np.full(4, 1e200))
+    for s_mode in SMode:
+        with pytest.raises(UpdateFailedError, match="row overflowed"):
+            build_preconditioner(f, s_mode=s_mode).add_row(np.arange(4), np.full(4, 1e308))
+    assert pre.split_rows == 3
+    assert_array_equal(pre.apply(r1, r2), before)
 
 
 @pytest.mark.parametrize("s_mode", [SMode.DENSE_FACTOR, SMode.INNER_CG])

@@ -1,4 +1,7 @@
+import sys
+import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,8 +109,8 @@ def test_y_build_equals_l2_times_inverse_l1(n, s, density, seed):
     assert yt.shape == (n, s)
     want = f.L2.to_dense() @ np.linalg.inv(f.L1.to_dense() + np.eye(n))
     assert rel_err(yt.T, want) <= 1e-12
-    Y = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR).Y.validate()
-    assert_array_equal(Y.to_dense(), yt.T)
+    Yt = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR).Yt.validate()
+    assert_array_equal(Yt.to_dense(), yt)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,7 @@ def test_y_modes_agree():
         f = factored(rng.standard_normal((n + s, n)), p=4)
         pe = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
         pi = build_preconditioner(f, s_mode=SMode.INNER_CG)
-        assert pe.Y is not None and pi.Y is None
+        assert pe.Yt is not None and pi.Yt is None
         r1 = rng.standard_normal(n)
         w = rng.standard_normal(s)
         assert rel_err(pi.y_apply(r1), pe.y_apply(r1)) <= 1e-13
@@ -168,7 +171,7 @@ def test_s_matvec_matches_dense_gram():
         n, s = int(rng.integers(3, 12)), int(rng.integers(1, 8))
         f = factored(rng.standard_normal((n + s, n)), p=5)
         pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-        low = _gram_plus_identity(pre.Y.to_dense().T)
+        low = _gram_plus_identity(pre.Yt.to_dense())
         v = rng.standard_normal(s)
         want = (low + np.tril(low, -1).T) @ v
         inner = build_preconditioner(f, s_mode=SMode.INNER_CG)
@@ -185,11 +188,11 @@ def test_assemble_s_trivial_cases():
         nmod=0,
     )
     pre = build_preconditioner(f0, s_mode=SMode.DENSE_FACTOR)
-    assert_array_equal(_gram_plus_identity(pre.Y.to_dense().T), np.eye(1))
+    assert_array_equal(_gram_plus_identity(pre.Yt.to_dense()), np.eye(1))
     assert_array_equal(pre.S_factor, np.eye(1))
 
     pre = build_preconditioner(hand_factors([[1.0, 1.0]]), s_mode=SMode.DENSE_FACTOR)
-    assert_array_equal(_gram_plus_identity(pre.Y.to_dense().T), [[3.0]])
+    assert_array_equal(_gram_plus_identity(pre.Yt.to_dense()), [[3.0]])
     assert_array_equal(pre.S_factor, [[np.sqrt(3.0)]])
 
 
@@ -207,7 +210,7 @@ def test_assemble_s_matches_dense_gram():
         n, s = int(rng.integers(3, 10)), int(rng.integers(1, 6))
         f = factored(rng.standard_normal((n + s, n)), p=4)
         pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-        yd = pre.Y.to_dense()
+        yd = pre.Yt.to_dense().T
         want = np.eye(s) + yd @ yd.T
         S = _gram_plus_identity(yd.T)
         # only the lower triangle is assembled; the Cholesky reads no more
@@ -235,10 +238,15 @@ def test_psize_accounting():
     f = factored(rng.standard_normal((12, 8)), p=4)
     pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
     s = f.L2.nrows
-    want = f.L1.nnz + f.L2.nnz + f.U.nnz + pre.Y.nnz + s * (s + 1) // 2
+    want = f.L1.nnz + f.L2.nnz + f.U.nnz + pre.Yt.nnz + s * (s + 1) // 2
     assert pre.psize == want
     pre2 = build_preconditioner(f, s_mode=SMode.INNER_CG)
     assert pre2.psize == f.L1.nnz + f.L2.nnz + f.U.nnz
+    # a fold counts its (s+1) x (s+1) triangle, not the room of its buffer
+    grown = pre.add_row([0, 3], [1.0, -2.0])
+    g = grown.factors
+    assert grown.S_buffer.shape[0] == s + precond.FOLD_ROOM
+    assert grown.psize == g.L1.nnz + g.L2.nnz + g.U.nnz + grown.Yt.nnz + (s + 1) * (s + 2) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +404,8 @@ def test_add_row_incremental_matches_rebuild():
         pre2 = pre.add_row(pat, row[pat])
         # rebuild from scratch out of the updated trapezoidal factor
         rebuilt = build_preconditioner(pre2.factors, s_mode=SMode.DENSE_FACTOR)
-        S_inc = _gram_plus_identity(pre2.Y.to_dense().T)
-        S_reb = _gram_plus_identity(rebuilt.Y.to_dense().T)
+        S_inc = _gram_plus_identity(pre2.Yt.to_dense())
+        S_reb = _gram_plus_identity(rebuilt.Yt.to_dense())
         assert rel_err(S_inc, S_reb) <= 1e-12
         r1 = rng.standard_normal(n)
         r2 = rng.standard_normal(m - n + 1)
@@ -421,10 +429,10 @@ def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
         pat = np.flatnonzero(row)
         pre = pre.add_row(pat, row[pat])
     rebuilt = build_preconditioner(pre.factors, s_mode)
-    assert (pre.Y is None) == (rebuilt.Y is None) == (s_mode is SMode.INNER_CG)
+    assert (pre.Yt is None) == (rebuilt.Yt is None) == (s_mode is SMode.INNER_CG)
     if s_mode is SMode.DENSE_FACTOR:
-        assert_array_equal(pre.Y.col_ptr, rebuilt.Y.col_ptr)
-        assert_array_equal(pre.Y.row_idx, rebuilt.Y.row_idx)
+        assert_array_equal(pre.Yt.col_ptr, rebuilt.Yt.col_ptr)
+        assert_array_equal(pre.Yt.row_idx, rebuilt.Yt.row_idx)
     r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 3)
     assert rel_err(pre.apply(r1, r2), rebuilt.apply(r1, r2)) <= 1e-10
 
@@ -435,7 +443,7 @@ def test_add_row_accepted_for_inner_cg():
     f = factored(rng.standard_normal((7, 4)))
     grown = build_preconditioner(f, s_mode=SMode.INNER_CG).add_row([0, 2], [1.0, -3.0])
     want = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR).add_row([0, 2], [1.0, -3.0])
-    assert grown.Y is None and grown.S_factor is None
+    assert grown.Yt is None and grown.S_factor is None
     assert grown.split_rows == f.L2.nrows + 1
     assert grown.psize == f.L1.nnz + grown.factors.L2.nnz + f.U.nnz
     mine, theirs = grown.factors.L2, want.factors.L2
@@ -471,3 +479,116 @@ def test_inner_cg_add_row_matches_build_on_grown_factors():
         assert_array_equal(h, rebuilt.apply(r1, r2))
         reference = replace(pre.factors, L2=CscMatrix.from_dense(L2))
         assert rel_err(h, build_preconditioner(reference, SMode.INNER_CG).apply(r1, r2)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# dense folds: the bordered pivot and the shared arrays
+# ---------------------------------------------------------------------------
+
+
+def random_row(rng, n):
+    row = rng.standard_normal(n) * (rng.random(n) < 0.7)
+    pat = np.flatnonzero(row)
+    return pat, row[pat]
+
+
+def test_bordered_pivot_does_not_cancel():
+    """A fold the old pivot 1 + y.y - |L^{-1} c|^2 refused gets the exact pivot.
+
+    With L1 = U = I the new row is y itself.  Y = [1e10, 0] and
+    y = (1e10, 1) give a Schur complement of 3 - 1e-20 next to
+    y.y = 1e20 + 1, so the old form cancels to 0 in float64.  The exact
+    value is computed in rational arithmetic: a long double cannot hold
+    1e20 + 1 either.
+    """
+    pre = build_preconditioner(hand_factors([[1e10, 0.0]]), SMode.DENSE_FACTOR)
+    y = np.array([1e10, 1.0])
+    cp = solve_triangular(pre.S_factor, pre.y_apply(y), lower=True)
+    assert 1.0 + y @ y - cp @ cp <= 0.0
+
+    Y, yq = [Fraction(1e10), Fraction(0)], [Fraction(v) for v in y]
+    c = sum(a * b for a, b in zip(Y, yq))
+    schur = 1 + sum(v * v for v in yq) - c * c / (1 + sum(v * v for v in Y))
+    grown = pre.add_row([0, 1], y)
+    assert grown.S_factor[1, 1] ** 2 == pytest.approx(float(schur), rel=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), s=st.integers(0, 4), k=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_folded_factor_matches_coupling_matrix(n, s, k, seed):
+    """After k folds L L^T = I + Y Y^T, through rows of very different size
+    and past the room of the first copy (FOLD_ROOM rows)."""
+    rng = np.random.default_rng(seed)
+    pre = build_preconditioner(factored(rng.standard_normal((n + s, n))), SMode.DENSE_FACTOR)
+    for _ in range(k):
+        pat, vals = random_row(rng, n)
+        pre = pre.add_row(pat, vals * 10.0 ** rng.integers(-4, 9))
+    L, yt = pre.S_factor, pre.Yt.to_dense()
+    want = np.eye(s + k) + yt.T @ yt
+    assert L.shape == (s + k, s + k)
+    assert rel_err(L @ L.T, want) <= 1e-12
+
+
+def test_fold_leaves_parent_bit_identical():
+    """A fold written in place on shared arrays changes nothing its parent applies."""
+    rng = np.random.default_rng(21)
+    n, s = 6, 3
+    pre = build_preconditioner(factored(rng.standard_normal((n + s, n))), SMode.DENSE_FACTOR)
+    parent = pre.add_row(*random_row(rng, n))
+    r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 1)
+    h_parent, h_built = parent.apply(r1, r2), pre.apply(r1, r2[:s])
+    child = parent.add_row(*random_row(rng, n))
+    assert child.S_buffer is parent.S_buffer  # written in place, not copied
+    assert_array_equal(parent.apply(r1, r2), h_parent)
+    assert_array_equal(pre.apply(r1, r2[:s]), h_built)
+
+
+def test_two_folds_from_one_parent_each_match_a_rebuild():
+    """The second fold from the same parent copies first, so both children hold."""
+    rng = np.random.default_rng(22)
+    n, s = 7, 2
+    parent = build_preconditioner(factored(rng.standard_normal((n + s, n))),
+                                  SMode.DENSE_FACTOR).add_row(*random_row(rng, n))
+    first = parent.add_row(*random_row(rng, n))
+    second = parent.add_row(*random_row(rng, n))
+    assert second.S_buffer is not first.S_buffer
+    r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 2)
+    for child in (first, second, first.add_row(*random_row(rng, n))):
+        rebuilt = build_preconditioner(child.factors, SMode.DENSE_FACTOR)
+        rr = np.append(r2, rng.standard_normal(child.split_rows - s - 2))
+        assert rel_err(child.apply(r1, rr), rebuilt.apply(r1, rr)) <= 1e-11
+
+
+def test_parent_applies_while_children_fold():
+    """Threads applying a folded object see no change while newer objects
+    are folded onto its shared arrays."""
+    rng = np.random.default_rng(24)
+    n, s = 30, 6
+    parent = build_preconditioner(factored(rng.standard_normal((n + s, n))),
+                                  SMode.DENSE_FACTOR).add_row(*random_row(rng, n))
+    rhs = [(rng.standard_normal(n), rng.standard_normal(s + 1)) for _ in range(4)]
+    want = [parent.apply(r1, r2) for r1, r2 in rhs]
+    ok = [True] * len(rhs)
+    stop = threading.Event()
+
+    def worker(k):
+        while not stop.is_set():
+            ok[k] &= bool(np.array_equal(parent.apply(*rhs[k]), want[k]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(rhs))]
+    try:
+        for th in threads:
+            th.start()
+        child = parent
+        for _ in range(2 * precond.FOLD_ROOM):  # in place, then past the room
+            child = child.add_row(*random_row(rng, n))
+    finally:
+        stop.set()
+        for th in threads:
+            th.join(timeout=30)
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert all(ok)

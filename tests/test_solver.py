@@ -94,6 +94,43 @@ def test_identity_converges_in_one_iteration():
     assert_array_equal(x, b)
 
 
+def test_zero_gradient_certifies_directly():
+    """An exactly vanishing gradient certifies before the estimate window fills."""
+    A = CscMatrix.identity(6)
+    x, report = pcgls(A, np.arange(1.0, 7.0), None, CglsConfig(norm_A=1.0))
+    assert report.converged and not report.breakdown
+    assert report.its == 1 and report.ratio_pt_history == [0.0]
+    assert report.gradient_norm_final == 0.0
+
+
+class _VanishingDirections:
+    """A preconditioner whose directions, after `steps` applications, are
+    scaled by 1e-170, so that ||A p||^2 underflows to 0: no progress."""
+
+    def __init__(self, pre, steps):
+        self.pre, self.steps = pre, steps
+        self.factors, self.n, self.psize = pre.factors, pre.n, pre.psize
+
+    def apply(self, r1, r2):
+        self.steps -= 1
+        return (1.0 if self.steps >= 0 else 1e-170) * self.pre.apply(r1, r2)
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_stop_without_progress_is_a_breakdown(steps):
+    """A stop with no progress is reported as a breakdown, never as converged.
+
+    The run stops at iteration `steps`, before the estimate window of
+    5 fills; the non-empty partial windows it then tries do not certify.
+    """
+    rng = np.random.default_rng(31)
+    A, b, norm_a = scaled_problem(rng, 30, 12)
+    pre = build_preconditioner(ilup_factorize(A, IlupParams(p=2)), SMode.DENSE_FACTOR)
+    x, report = pcgls(A, b, _VanishingDirections(pre, steps), CglsConfig(norm_A=norm_a))
+    assert report.breakdown and not report.converged
+    assert report.its == steps and len(report.ratio_pt_history) == steps
+
+
 def test_exact_preconditioner_quasi_square():
     rng = np.random.default_rng(2)
     for _ in range(8):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -514,6 +515,22 @@ def test_cholesky_solve_residual():
     b = rng.standard_normal(6)
     x = dense_cholesky_solve(f, b)
     assert rel_err(s @ x, b) <= 1e-12
+
+
+@pytest.mark.parametrize("s, room", [(1, 1), (3, 29), (7, 32), (300, 37)])
+def test_cholesky_solve_on_leading_block(s, room):
+    """A solve with the leading s x s block of a larger buffer reads nothing
+    past the block and gives, bit for bit, what LAPACK potrs gives on a
+    copy of the block."""
+    rng = np.random.default_rng(s)
+    y = rng.standard_normal((s, 4))
+    f = dense_cholesky_factorize(np.eye(s) + y @ y.T)
+    buf = np.full((s + room, s + room), np.nan, order="F")
+    buf[:s, :s] = f
+    b = rng.standard_normal(s)
+    assert_array_equal(dense_cholesky_solve(buf, b), scipy.linalg.cho_solve((f, True), b))
+    with pytest.raises(ValueError):
+        dense_cholesky_solve(buf, np.ones(s + room + 1))
 
 
 def test_cholesky_rejects_indefinite():
