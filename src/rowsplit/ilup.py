@@ -22,13 +22,17 @@ sparsity of a column.
 
 Row interchanges are bookkept through the permutation; no stored data
 moves.  Factor entries are indexed by original row id internally and
-mapped to pivot positions at the end.
+mapped to pivot positions at the end, where numpy assembles L1, L2 and
+U.  The work arrays (the column x, its marks, the permutation and the
+row counts) and the stored L columns are Python lists of Python
+scalars: a column holds few entries, so an update costs a few
+interpreter steps per reached entry, not a numpy call per small array.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -85,68 +89,6 @@ class IlupFactors:
     def ncols(self) -> int:
         return self.U.ncols
 
-    def validate(self, params: IlupParams | None = None):
-        """Structural invariants; raises ValueError when violated."""
-        n = self.U.ncols
-        self.L1.validate()
-        self.L2.validate()
-        self.U.validate()
-        self.row_perm.validate()
-        if self.L1.nrows != n or self.L1.ncols != n or self.U.nrows != n:
-            raise ValueError("inconsistent factor dimensions")
-        if self.L2.ncols != n:
-            raise ValueError("L2 column count mismatch")
-        if self.L1.nnz and np.any(
-            self.L1.row_idx <= np.repeat(np.arange(n), self.L1.column_counts())
-        ):
-            raise ValueError("L1 stores an entry on or above the diagonal")
-        for j in range(n):
-            rows, vals = self.U.column(j)
-            if len(rows) == 0 or rows[-1] != j:
-                raise ValueError(f"U missing diagonal in column {j}")
-            if params is not None and abs(vals[-1]) < params.small:
-                raise ValueError(f"U diagonal below small in column {j}")
-        if params is not None:
-            p, tau, mu = params.p, params.tau, params.mu
-            lcounts = self.L1.column_counts() + self.L2.column_counts()
-            if np.any(lcounts > p):
-                raise ValueError("more than p entries kept in an L column")
-            if np.any(self.U.column_counts() - 1 > p):
-                raise ValueError("more than p entries kept in a U column")
-            if tau > 0.0:
-                for M in (self.L1, self.L2):
-                    if M.nnz and np.abs(M.values).min() < tau:
-                        raise ValueError("entry below tau kept in L")
-                for j in range(n):
-                    vals = self.U.column(j)[1]
-                    if len(vals) > 1 and np.abs(vals[:-1]).min() < tau:
-                        raise ValueError("entry below tau kept in U")
-            bound = (1.0 / mu) * (1.0 + 1e-12)
-            for M in (self.L1, self.L2):
-                if M.nnz and np.abs(M.values).max() > bound:
-                    raise ValueError("L entry exceeds the threshold-pivoting bound")
-        return self
-
-
-def choose_pivot(rows, values, row_counts, mu) -> int:
-    """Pick the pivot row for one column.
-
-    Candidates are the rows whose magnitude is within factor mu of the
-    column maximum; among them the one with the smallest row count
-    wins, ties going to the smallest row index.  Returns the chosen
-    element of ``rows``.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    row_counts = np.asarray(row_counts)
-    if len(rows) == 0:
-        raise ValueError("empty pivot column")
-    mags = np.abs(values)
-    cand = np.flatnonzero(mags >= mu * mags.max())
-    # lexsort: primary key row_counts, secondary key row index
-    best = cand[np.lexsort((rows[cand], row_counts[cand]))[0]]
-    return int(rows[best])
-
 
 def modify_pivot(j, n, col_inf_norm, small) -> float:
     """Replacement value for a vanishing pivot in column j (0-based).
@@ -159,15 +101,22 @@ def modify_pivot(j, n, col_inf_norm, small) -> float:
     return max(beta * col_inf_norm, small)
 
 
-def _dual_drop(ids, vals, p, tau):
-    """Apply the dual dropping rule; returns entries sorted by id."""
+def _dual_drop(pos, vals, p, tau):
+    """Apply the dual dropping rule to a column held as two lists.
+
+    Keeps the nonzero values of magnitude at least tau, then the p
+    largest, ties going to the lower position.  Returns the kept
+    positions and values, not necessarily in position order.
+    """
+    if tau == 0.0 and len(pos) <= p and 0.0 not in vals:
+        return pos, vals
+    pos, vals = np.array(pos, dtype=np.int64), np.array(vals)
     keep = (np.abs(vals) >= tau) & (vals != 0.0)
-    ids, vals = ids[keep], vals[keep]
-    if len(ids) > p:
-        sel = np.lexsort((ids, -np.abs(vals)))[:p]
-        ids, vals = ids[sel], vals[sel]
-    order = np.argsort(ids)
-    return ids[order], vals[order]
+    pos, vals = pos[keep], vals[keep]
+    if len(pos) > p:
+        sel = np.lexsort((pos, -np.abs(vals)))[:p]
+        pos, vals = pos[sel], vals[sel]
+    return pos.tolist(), vals.tolist()
 
 
 def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactors:
@@ -177,7 +126,8 @@ def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactor
     selected pivot is smaller than params.small, gets a modified pivot
     instead (counted in nmod).  Deterministic: ties in pivoting and
     dropping are broken by index.  Raises ValueError for an empty or
-    wide matrix and for a non-finite value.
+    wide matrix, for a non-finite value, and for an elimination that
+    overflows to a non-finite factor entry.
     """
     if params is None:
         params = IlupParams()
@@ -188,123 +138,109 @@ def ilup_factorize(A: CscMatrix, params: IlupParams | None = None) -> IlupFactor
         raise ValueError(f"need nrows >= ncols, got {m} x {n}")
     if not np.all(np.isfinite(A.values)):
         raise ValueError("matrix has non-finite values")
-
-    ptr, avals_all = A.col_ptr, A.values
-
-    # current permutation: row_at[pos] = original row, pos_of = inverse
-    row_at = np.arange(m, dtype=np.int64)
-    pos_of = np.arange(m, dtype=np.int64)
-    rc = np.bincount(A.row_idx, minlength=m)  # entries per row in columns >= j
+    p, tau, mu, small = params.p, params.tau, params.mu, params.small
 
     # per-column inf norms of A, used by pivot modification
     col_inf = np.zeros(n)
-    nonempty = ptr[:-1] < ptr[1:]
+    nonempty = A.col_ptr[:-1] < A.col_ptr[1:]
     if A.nnz:
-        col_inf[nonempty] = np.maximum.reduceat(np.abs(avals_all), ptr[:-1][nonempty])
+        col_inf[nonempty] = np.maximum.reduceat(np.abs(A.values), A.col_ptr[:-1][nonempty])
+    col_inf = col_inf.tolist()
+    rc = np.bincount(A.row_idx, minlength=m).tolist()  # entries per row in columns >= j
+    ptr = A.col_ptr.tolist()
 
-    l_rows: list = [None] * n  # original row ids, post-drop
-    l_vals: list = [None] * n
-    u_rows: list = [None] * n  # pivot positions, diagonal last
-    u_vals: list = [None] * n
-
-    x = np.zeros(m)
-    mark = np.zeros(m, dtype=bool)
+    # current permutation: row_at[pos] = original row, pos_of = inverse
+    row_at = list(range(m))
+    pos_of = list(range(m))
+    l_cols: list = [None] * n  # (original row, value) pairs, post-drop
+    u_rows, u_vals, u_counts = [], [], []  # U by columns, diagonal last in each
+    x = [0.0] * m
+    mark = [False] * m
     nmod = 0
 
     for j in range(n):
-        arows, avals = A.column(j)
-        x[arows] = avals
-        mark[arows] = True
-        pattern = [arows]
+        arows = A.row_idx[ptr[j]:ptr[j + 1]].tolist()
+        pattern = arows.copy()
+        heap = []
+        for r, v in zip(arows, A.values[ptr[j]:ptr[j + 1]].tolist()):
+            x[r] = v
+            mark[r] = True
+            if pos_of[r] < j:
+                heap.append(pos_of[r])
+        heapify(heap)
         # eliminate the reached pivot positions below j in increasing order
-        heap = [q for q in pos_of[arows].tolist() if q < j]
-        heapq.heapify(heap)
-        u_pos_list, u_val_list = [], []
+        u_pos, u_val = [], []
         while heap:
-            q = heapq.heappop(heap)
+            q = heappop(heap)
             xu = x[row_at[q]]
             if xu == 0.0:
                 continue
-            u_pos_list.append(q)
-            u_val_list.append(xu)
-            lr = l_rows[q]
-            x[lr] -= l_vals[q] * xu
-            fresh = lr[~mark[lr]]
-            if len(fresh):
-                mark[fresh] = True
-                pattern.append(fresh)
-                for k in pos_of[fresh].tolist():
-                    if k < j:
-                        heapq.heappush(heap, k)
-        u_sel_pos = np.asarray(u_pos_list, dtype=np.int64)
-        u_sel_val = np.asarray(u_val_list)
+            u_pos.append(q)
+            u_val.append(xu)
+            for r, lv in l_cols[q]:
+                x[r] -= lv * xu
+                if not mark[r]:
+                    mark[r] = True
+                    pattern.append(r)
+                    if pos_of[r] < j:
+                        heappush(heap, pos_of[r])
 
-        # dual drop in the U column (diagonal is added afterwards)
-        u_keep_pos, u_keep_val = _dual_drop(u_sel_pos, u_sel_val, params.p, params.tau)
+        # active part of the column: reached rows not yet pivotal; the
+        # work lists are cleared in the same pass
+        cand = []
+        for r in pattern:
+            if x[r] != 0.0 and pos_of[r] >= j:
+                cand.append((r, x[r]))
+            x[r] = 0.0
+            mark[r] = False
 
-        # active part of the column: reached rows not yet pivotal
-        pat = np.concatenate(pattern) if len(pattern) > 1 else pattern[0]
-        cand = pat[pos_of[pat] >= j]
-        cvals = x[cand]
-        nz = cvals != 0.0
-        cand, cvals = cand[nz], cvals[nz]
-
-        if len(cand) == 0:
-            pivot_orig = row_at[j]
-            pivot_val = modify_pivot(j, n, col_inf[j], params.small)
+        # pivot: among the rows within factor mu of the largest magnitude,
+        # the fewest entries in columns >= j wins, then the lowest position.
+        # Nothing is eligible only when lim is NaN; the NaN pivot then fails
+        # the finiteness check on the factors.
+        piv, pivot_val = row_at[j], 0.0
+        if cand:
+            lim = mu * max([abs(v) for _, v in cand])
+            _, _, piv, pivot_val = min(
+                ((rc[r], pos_of[r], r, v) for r, v in cand if abs(v) >= lim),
+                default=(0, j, piv, lim),
+            )
+        if abs(pivot_val) < small:
+            pivot_val = modify_pivot(j, n, col_inf[j], small)
             nmod += 1
-        else:
-            k_pos = choose_pivot(pos_of[cand], cvals, rc[cand], params.mu)
-            pivot_orig = row_at[k_pos]
-            pivot_val = x[pivot_orig]
-            if abs(pivot_val) < params.small:
-                pivot_val = modify_pivot(j, n, col_inf[j], params.small)
-                nmod += 1
-            keep = cand != pivot_orig
-            cand, cvals = cand[keep], cvals[keep]
 
         # interchange: bring the pivot row to position j
-        q = pos_of[pivot_orig]
-        if q != j:
-            other = row_at[j]
-            row_at[j], row_at[q] = pivot_orig, other
-            pos_of[pivot_orig], pos_of[other] = j, q
+        q, other = pos_of[piv], row_at[j]
+        row_at[j], row_at[q] = piv, other
+        pos_of[piv], pos_of[other] = j, q
 
         # scale, then drop in the L column (tie-break on current position)
-        if len(cand):
-            kept_pos, kept_lv = _dual_drop(
-                pos_of[cand], cvals / pivot_val, params.p, params.tau
-            )
-            l_rows[j] = row_at[kept_pos]
-            l_vals[j] = kept_lv
-        else:
-            l_rows[j] = np.empty(0, dtype=np.int64)
-            l_vals[j] = np.empty(0)
+        kept, vals = _dual_drop([pos_of[r] for r, _ in cand if r != piv],
+                                [v / pivot_val for r, v in cand if r != piv], p, tau)
+        l_cols[j] = [(row_at[k], v) for k, v in zip(kept, vals)]
+        kept, vals = _dual_drop(u_pos, u_val, p, tau)
+        u_rows += kept + [j]
+        u_vals += vals + [pivot_val]
+        u_counts.append(len(kept) + 1)
 
-        u_rows[j] = np.append(u_keep_pos, j)
-        u_vals[j] = np.append(u_keep_val, pivot_val)
-
-        rc[arows] -= 1
-
-        x[pat] = 0.0
-        mark[pat] = False
+        for r in arows:
+            rc[r] -= 1
 
     # assemble the factors in final pivot coordinates
-    u_col = np.repeat(np.arange(n, dtype=np.int64), [len(r) for r in u_rows])
-    U = CscMatrix.from_coo(n, n, np.concatenate(u_rows), u_col, np.concatenate(u_vals))
-
-    l_col = np.repeat(np.arange(n, dtype=np.int64), [len(r) for r in l_rows])
-    l_orig = np.concatenate(l_rows) if len(l_col) else np.empty(0, dtype=np.int64)
-    l_pos = pos_of[l_orig] if len(l_col) else np.empty(0, dtype=np.int64)
-    l_val = np.concatenate(l_vals) if len(l_col) else np.empty(0)
+    u_vals = np.array(u_vals)
+    l_counts = [len(col) for col in l_cols]
+    l_row = np.fromiter((r for col in l_cols for r, _ in col), np.int64, sum(l_counts))
+    l_val = np.fromiter((v for col in l_cols for _, v in col), np.float64, sum(l_counts))
+    if not (np.isfinite(u_vals).all() and np.isfinite(l_val).all()):
+        raise ValueError("elimination overflowed: a factor entry is not finite")
+    l_pos = np.array(pos_of, dtype=np.int64)[l_row]
+    l_col = np.repeat(np.arange(n), l_counts)
     top = l_pos < n
-    L1 = CscMatrix.from_coo(n, n, l_pos[top], l_col[top], l_val[top])
-    L2 = CscMatrix.from_coo(m - n, n, l_pos[~top] - n, l_col[~top], l_val[~top])
-
     return IlupFactors(
-        row_perm=Permutation(row_at, pos_of),
-        L1=L1,
-        L2=L2,
-        U=U,
+        row_perm=Permutation(np.array(row_at, dtype=np.int64), np.array(pos_of, dtype=np.int64)),
+        L1=CscMatrix.from_coo(n, n, l_pos[top], l_col[top], l_val[top]),
+        L2=CscMatrix.from_coo(m - n, n, l_pos[~top] - n, l_col[~top], l_val[~top]),
+        U=CscMatrix.from_coo(n, n, np.array(u_rows, dtype=np.int64),
+                             np.repeat(np.arange(n), u_counts), u_vals),
         nmod=nmod,
     )

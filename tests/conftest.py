@@ -55,3 +55,49 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=float)
     scale = np.linalg.norm(want)
     return np.linalg.norm(np.asarray(got) - want) / (scale if scale else 1.0)
+
+
+def validate_factors(f, params=None):
+    """Structural invariants of IlupFactors; raises ValueError when violated.
+
+    With params, also the dropping and pivoting contract: at most p kept
+    entries per L and U column, none below tau, every L entry within the
+    1/mu threshold-pivoting bound and every U diagonal at least small.
+    """
+    n = f.U.ncols
+    f.L1.validate()
+    f.L2.validate()
+    f.U.validate()
+    f.row_perm.validate()
+    if f.L1.nrows != n or f.L1.ncols != n or f.U.nrows != n:
+        raise ValueError("inconsistent factor dimensions")
+    if f.L2.ncols != n:
+        raise ValueError("L2 column count mismatch")
+    if f.L1.nnz and np.any(f.L1.row_idx <= np.repeat(np.arange(n), f.L1.column_counts())):
+        raise ValueError("L1 stores an entry on or above the diagonal")
+    for j in range(n):
+        rows, vals = f.U.column(j)
+        if len(rows) == 0 or rows[-1] != j:
+            raise ValueError(f"U missing diagonal in column {j}")
+        if params is not None and abs(vals[-1]) < params.small:
+            raise ValueError(f"U diagonal below small in column {j}")
+    if params is not None:
+        p, tau, mu = params.p, params.tau, params.mu
+        lcounts = f.L1.column_counts() + f.L2.column_counts()
+        if np.any(lcounts > p):
+            raise ValueError("more than p entries kept in an L column")
+        if np.any(f.U.column_counts() - 1 > p):
+            raise ValueError("more than p entries kept in a U column")
+        if tau > 0.0:
+            for M in (f.L1, f.L2):
+                if M.nnz and np.abs(M.values).min() < tau:
+                    raise ValueError("entry below tau kept in L")
+            for j in range(n):
+                vals = f.U.column(j)[1]
+                if len(vals) > 1 and np.abs(vals[:-1]).min() < tau:
+                    raise ValueError("entry below tau kept in U")
+        bound = (1.0 / mu) * (1.0 + 1e-12)
+        for M in (f.L1, f.L2):
+            if M.nnz and np.abs(M.values).max() > bound:
+                raise ValueError("L entry exceeds the threshold-pivoting bound")
+    return f

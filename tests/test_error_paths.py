@@ -30,7 +30,7 @@ from oracle import dense_lls_solve, dense_lu_pp, dense_woodbury_correction
 from rowsplit import precond
 from rowsplit.precond import UpdateFailedError
 
-from conftest import csc, rel_err
+from conftest import csc, rel_err, validate_factors
 
 
 def test_lower_transpose_solve_with_stored_diagonal():
@@ -122,17 +122,17 @@ def test_factor_validate_catches_tampering():
     rng = np.random.default_rng(1)
     f = ilup_factorize(csc(rng.standard_normal((8, 5))), IlupParams(p=8))
     params = IlupParams(p=8)
-    f.validate(params)
+    validate_factors(f, params)
     # entry moved onto the diagonal of the unit-lower block
     bad = CscMatrix(5, 5, [0, 1, 1, 1, 1, 1], [0], [2.0])
     import dataclasses
 
     with pytest.raises(ValueError):
-        dataclasses.replace(f, L1=bad).validate(params)
+        validate_factors(dataclasses.replace(f, L1=bad), params)
     # oversized column in the lower factor
     dense_col = CscMatrix.from_dense(np.vstack([np.zeros((1, 5)), np.ones((2, 5))]))
     with pytest.raises(ValueError):
-        dataclasses.replace(f, L2=dense_col).validate(IlupParams(p=1))
+        validate_factors(dataclasses.replace(f, L2=dense_col), IlupParams(p=1))
 
 
 def test_add_row_border_failure_signals():
@@ -263,6 +263,17 @@ def test_ilup_rejects_non_finite(bad):
     A = CscMatrix(3, 2, [0, 2, 3], [0, 2, 1], [bad, 1.0, 2.0])
     with pytest.raises(ValueError, match="non-finite"):
         ilup_factorize(A, IlupParams(p=3))
+
+
+def test_ilup_overflow_is_a_named_error():
+    """A finite matrix whose elimination overflows is refused by name.
+
+    Column 1 subtracts -1 times 1e308 from 1e308 at row 1, which
+    overflows; that row then becomes the pivot, an infinite U diagonal.
+    """
+    a = np.array([[1e308, 1e308], [-1e308, 1e308], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        ilup_factorize(csc(a), IlupParams(mu=1.0))
 
 
 @pytest.mark.parametrize("norm_A", [np.inf, np.nan, -1.0])

@@ -1,14 +1,23 @@
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from rowsplit import CscMatrix, IlupParams, column_scale, ilup_factorize
-from rowsplit.ilup import choose_pivot, modify_pivot
+from rowsplit import CscMatrix, IlupParams, column_scale, ilup_factorize, read_matrix_market_ex
+from rowsplit.ilup import modify_pivot
 from oracle import dense_ilup, dense_lu_pp
 
-from conftest import csc, random_sparse, rel_err
+from conftest import csc, random_sparse, rel_err, require_matrix, validate_factors
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
 
 def reconstruct(factors):
@@ -39,7 +48,7 @@ def test_square_matches_partial_pivoting_lu():
         a = rng.standard_normal((n, n))
         params = IlupParams(p=n + 1, tau=0.0, mu=1.0)
         f = ilup_factorize(csc(a), params)
-        f.validate(params)
+        validate_factors(f, params)
         perm, L, U = dense_lu_pp(a)
         assert_array_equal(f.row_perm.perm, perm)
         assert rel_err(reconstruct(f), a[f.row_perm.perm]) <= 1e-13
@@ -53,7 +62,7 @@ def test_rectangular_exactness():
         a = rng.standard_normal((m, n))
         params = IlupParams(p=m, tau=0.0, mu=0.1)
         f = ilup_factorize(csc(a), params)
-        f.validate(params)
+        validate_factors(f, params)
         assert rel_err(reconstruct(f), a[f.row_perm.perm]) <= 1e-12
 
 
@@ -63,7 +72,7 @@ def test_dropping_caps_and_stability_bound():
     scaled, _ = column_scale(csc(a))
     params = IlupParams(p=3, tau=0.05, mu=0.1)
     f = ilup_factorize(scaled, params)
-    f.validate(params)  # checks caps, tau floor, 1/mu bound, diag floor
+    validate_factors(f, params)  # checks caps, tau floor, 1/mu bound, diag floor
     lcounts = f.L1.column_counts() + f.L2.column_counts()
     assert lcounts.max(initial=0) <= 3
     assert (f.U.column_counts() - 1).max(initial=0) <= 3
@@ -161,8 +170,20 @@ def ilup_case(draw):
     return a, params
 
 
+DENSE_8X4 = np.random.default_rng(0).standard_normal((8, 4))
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=ilup_case())
+# at most p survivors, tau = 0; in column 2 the row pivoted at position 1
+# cancels exactly to zero and that position is skipped
+@example(case=(np.array([[2.0, 0, 2], [1, 1, 1], [0, 0, 1]]), IlupParams(p=10)))
+# more than p survivors in L column 0 and in U column 3
+@example(case=(DENSE_8X4, IlupParams(p=2, mu=0.5)))
+# tau > 0 with at most p survivors
+@example(case=(DENSE_8X4, IlupParams(p=9, tau=0.1)))
+# an L entry that underflows to zero after the division by the pivot
+@example(case=(np.array([[1e10], [1e-320]]), IlupParams(p=2)))
 def test_matches_dense_reference_bitwise(case):
     a, params = case
     f = ilup_factorize(csc(a), params)
@@ -199,25 +220,31 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 
 
+def first_pivot(rows, values, counts, mu):
+    """The row ilup_factorize pivots on in column 0.
+
+    Column 0 holds values[i] at row rows[i], and that row holds
+    counts[i] >= 1 entries in all, so counts[i] is its row count.
+    """
+    n = max(counts)
+    m = max(max(rows) + 1, n)
+    a = np.zeros((m, n))
+    for r, v, c in zip(rows, values, counts):
+        a[r, 1:c] = 1.0
+        a[r, 0] = v
+    return int(ilup_factorize(csc(a), IlupParams(p=m, mu=mu)).row_perm.perm[0])
+
+
 def test_choose_pivot_prefers_low_row_count():
-    rows = np.array([1, 2, 3])
-    values = np.array([0.5, 1.0, 0.9])
-    counts = np.array([1, 5, 2])
-    assert choose_pivot(rows, values, counts, mu=0.1) == 1
+    assert first_pivot([1, 2, 3], [0.5, 1.0, 0.9], [1, 5, 2], mu=0.1) == 1
 
 
 def test_choose_pivot_threshold_excludes():
-    rows = np.array([1, 2, 3])
-    values = np.array([0.5, 1.0, 0.9])
-    counts = np.array([1, 5, 2])
-    assert choose_pivot(rows, values, counts, mu=0.95) == 2
+    assert first_pivot([1, 2, 3], [0.5, 1.0, 0.9], [1, 5, 2], mu=0.95) == 2
 
 
 def test_choose_pivot_tie_breaks_smallest_row():
-    rows = np.array([4, 2, 7])
-    values = np.array([1.0, -1.0, 1.0])
-    counts = np.array([3, 3, 3])
-    assert choose_pivot(rows, values, counts, mu=0.5) == 2
+    assert first_pivot([4, 2, 7], [1.0, -1.0, 1.0], [3, 3, 3], mu=0.5) == 2
 
 
 def test_choose_pivot_randomized_predicates():
@@ -227,9 +254,9 @@ def test_choose_pivot_randomized_predicates():
         rows = rng.choice(100, size=k, replace=False)
         values = rng.standard_normal(k)
         values[rng.integers(0, k)] = 1.5  # ensure a clear max
-        counts = rng.integers(0, 20, size=k)
+        counts = rng.integers(1, 20, size=k)
         mu = float(rng.uniform(0.05, 1.0))
-        got = choose_pivot(rows, values, counts, mu)
+        got = first_pivot(rows, values, counts, mu)
         idx = list(rows).index(got)
         cmax = np.abs(values).max()
         eligible = np.flatnonzero(np.abs(values) >= mu * cmax)
@@ -240,8 +267,11 @@ def test_choose_pivot_randomized_predicates():
 
 
 def test_choose_pivot_empty_column():
-    with pytest.raises(ValueError):
-        choose_pivot([], [], [], mu=0.1)
+    # no candidate: the row at position 0 stays and its pivot is modified
+    f = ilup_factorize(csc([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]), IlupParams())
+    assert f.row_perm.perm[0] == 0
+    assert f.nmod == 1
+    assert f.U.to_dense()[0, 0] == modify_pivot(0, 2, 0.0, 1e-10) == 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +294,38 @@ def test_modify_pivot_early_columns_floor():
     assert val == pytest.approx(1e-2, rel=1e-3)
     assert modify_pivot(0, 10 ** 6, 0.0, 1e-10) == 1e-10
     assert modify_pivot(3, 7, 0.0, 1e-10) >= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# factors pinned to an earlier revision
+# ---------------------------------------------------------------------------
+
+PINNED = json.loads((Path(__file__).parent / "data" / "ilup_digests.json").read_text())["digests"]
+
+
+def factor_digest(f):
+    """SHA-256 over perm, each factor's CSC arrays and nmod, in fixed dtypes."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(f.row_perm.perm, dtype="<i8").tobytes())
+    for M in (f.L1, f.L2, f.U):
+        h.update(np.ascontiguousarray(M.col_ptr, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(M.row_idx, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(M.values, dtype="<f8").tobytes())
+    h.update(str(int(f.nmod)).encode())
+    return h.hexdigest()
+
+
+def pinned_matrix(name):
+    """The named input as assembled, not column-scaled."""
+    from rsbench.workloads import grid_problem, quasi_square_problem
+
+    if name == "illc1850":
+        return read_matrix_market_ex(require_matrix("illc1850.mtx"))[0]
+    prob = grid_problem(1) if name == "grid" else quasi_square_problem(1)
+    return CscMatrix.from_coo(prob.nrows, prob.ncols, prob.rows, prob.cols, prob.vals)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_factors_match_pinned_digests(name):
+    f = ilup_factorize(pinned_matrix(name), IlupParams(p=PINNED[name]["p"]))
+    assert factor_digest(f) == PINNED[name]["sha256"]
