@@ -19,7 +19,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -36,18 +36,26 @@ _log = logging.getLogger("rowsplit")
 
 @dataclass
 class RunConfig:
+    """One run's settings; the ILU and solver defaults are the library's own."""
+
     matrix_path: str
-    p: int = 10
-    tau: float = 0.0
-    mu: float = 0.1
-    small: float = 1e-10
-    s_mode: str = "dense"
-    delta: float = 1e-10
-    max_iters: int = 2000
-    estimator_delay: int = 5
+    p: int = IlupParams.p
+    tau: float = IlupParams.tau
+    mu: float = IlupParams.mu
+    small: float = IlupParams.small
+    s_mode: str = SMode.DENSE_FACTOR.value
+    delta: float = CglsConfig.delta
+    max_iters: int = CglsConfig.max_iters
+    estimator_delay: int = CglsConfig.estimator_delay
     rhs_seed: int = 42
     power_iters: int = 100
     output_format: str = "json"
+
+
+def _from_config(cls, cfg: RunConfig, **given):
+    """An IlupParams or CglsConfig from the same-named fields of cfg."""
+    taken = {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name not in given}
+    return cls(**taken, **given)
 
 
 def run_single(cfg: RunConfig) -> dict:
@@ -60,7 +68,7 @@ def run_single(cfg: RunConfig) -> dict:
     b = rng.uniform(-1.0, 1.0, A.nrows)
 
     norm_A = power_method_norm2(scaled, iters=cfg.power_iters, seed=cfg.rhs_seed)
-    factors = ilup_factorize(scaled, IlupParams(p=cfg.p, tau=cfg.tau, mu=cfg.mu, small=cfg.small))
+    factors = ilup_factorize(scaled, _from_config(IlupParams, cfg))
 
     s_mode = SMode(cfg.s_mode)
     split = factors.L2.nrows
@@ -70,14 +78,11 @@ def run_single(cfg: RunConfig) -> dict:
         s_mode = SMode.INNER_CG
     pre = build_preconditioner(factors, s_mode=s_mode)
 
-    solver_cfg = CglsConfig(
-        norm_A=norm_A,
-        delta=cfg.delta,
-        max_iters=cfg.max_iters,
-        estimator_delay=cfg.estimator_delay,
-    )
-    _, report = pcgls(scaled, b, pre, solver_cfg)
+    _, report = pcgls(scaled, b, pre, _from_config(CglsConfig, cfg, norm_A=norm_A))
 
+    params = asdict(cfg)
+    del params["matrix_path"], params["output_format"]
+    params["s_mode"] = s_mode.value  # the mode run, after any fallback
     record = {
         "schema_version": SCHEMA_VERSION,
         "matrix": cfg.matrix_path,
@@ -86,18 +91,7 @@ def run_single(cfg: RunConfig) -> dict:
         "nnz": A.nnz,
         "entries_read": info.entries_read,
         "transposed": info.transposed,
-        "params": {
-            "p": cfg.p,
-            "tau": cfg.tau,
-            "mu": cfg.mu,
-            "small": cfg.small,
-            "s_mode": s_mode.value,
-            "delta": cfg.delta,
-            "max_iters": cfg.max_iters,
-            "estimator_delay": cfg.estimator_delay,
-            "rhs_seed": cfg.rhs_seed,
-            "power_iters": cfg.power_iters,
-        },
+        "params": params,
         "norm_A_estimate": norm_A,
         **report.to_dict(),
         "wall_time_s": time.perf_counter() - t0,
@@ -191,20 +185,21 @@ def _format_records(records: list[dict], fmt: str) -> str:
 
 
 def _add_solver_flags(sp):
-    sp.add_argument("--p", type=int, default=10, help="max kept entries per factor column")
-    sp.add_argument("--tau", type=float, default=0.0, help="magnitude drop tolerance")
-    sp.add_argument("--mu", type=float, default=0.1, help="pivot threshold in (0, 1]")
-    sp.add_argument("--small", type=float, default=1e-10, help="minimum pivot magnitude")
-    sp.add_argument("--s-mode", choices=[m.value for m in SMode], default="dense",
+    d = RunConfig
+    sp.add_argument("--p", type=int, default=d.p, help="max kept entries per factor column")
+    sp.add_argument("--tau", type=float, default=d.tau, help="magnitude drop tolerance")
+    sp.add_argument("--mu", type=float, default=d.mu, help="pivot threshold in (0, 1]")
+    sp.add_argument("--small", type=float, default=d.small, help="minimum pivot magnitude")
+    sp.add_argument("--s-mode", choices=[m.value for m in SMode], default=d.s_mode,
                     help="how the coupling system is solved")
-    sp.add_argument("--delta", type=float, default=1e-10, help="stopping tolerance")
-    sp.add_argument("--max-iters", type=int, default=2000)
-    sp.add_argument("--delay", type=int, default=5, dest="estimator_delay",
+    sp.add_argument("--delta", type=float, default=d.delta, help="stopping tolerance")
+    sp.add_argument("--max-iters", type=int, default=d.max_iters)
+    sp.add_argument("--delay", type=int, default=d.estimator_delay, dest="estimator_delay",
                     help="error-estimator delay")
-    sp.add_argument("--seed", type=int, default=42, dest="rhs_seed",
+    sp.add_argument("--seed", type=int, default=d.rhs_seed, dest="rhs_seed",
                     help="seed for the right-hand side and norm estimate")
-    sp.add_argument("--power-iters", type=int, default=100)
-    sp.add_argument("--format", choices=["json", "csv", "human"], default="json",
+    sp.add_argument("--power-iters", type=int, default=d.power_iters)
+    sp.add_argument("--format", choices=["json", "csv", "human"], default=d.output_format,
                     dest="output_format")
 
 
@@ -214,7 +209,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp_solve = sub.add_parser("solve", help="solve one least-squares problem")
-    sp_solve.add_argument("matrix", help="Matrix Market file")
+    sp_solve.add_argument("matrix_path", metavar="matrix", help="Matrix Market file")
     _add_solver_flags(sp_solve)
 
     sp_batch = sub.add_parser("batch", help="run a manifest of problems x parameters")
@@ -229,15 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "solve":
-        cfg = RunConfig(
-            matrix_path=args.matrix,
-            p=args.p, tau=args.tau, mu=args.mu, small=args.small,
-            s_mode=args.s_mode,
-            delta=args.delta, max_iters=args.max_iters,
-            estimator_delay=args.estimator_delay,
-            rhs_seed=args.rhs_seed, power_iters=args.power_iters,
-            output_format=args.output_format,
-        )
+        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
         try:
             record = run_single(cfg)
         except Exception as exc:

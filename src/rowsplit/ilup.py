@@ -55,14 +55,15 @@ class IlupParams:
     small: float = 1e-10
 
     def __post_init__(self):
-        if self.p < 1:
+        # each check is written so that NaN fails it
+        if not self.p >= 1:
             raise ValueError("p must be >= 1")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise ValueError("tau must be >= 0")
         if not 0.0 < self.mu <= 1.0:
             raise ValueError("mu must be in (0, 1]")
-        if self.small <= 0.0:
-            raise ValueError("small must be > 0")
+        if not (np.isfinite(self.small) and self.small > 0.0):
+            raise ValueError("small must be finite and > 0")
 
 
 @dataclass

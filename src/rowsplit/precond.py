@@ -72,7 +72,7 @@ def build_y_explicit(factors: IlupFactors) -> np.ndarray:
     One block solve of L1^T Y^T = L2^T through the cached L1 factor, with
     all of L2^T densified as the right-hand sides.
     """
-    return sparse_lower_solve_transpose(factors.L1, factors.L2.to_dense().T, unit_diag=True)
+    return sparse_lower_solve_transpose(factors.L1, factors.L2.to_dense().T)
 
 
 def _gram_plus_identity(yt: np.ndarray) -> np.ndarray:
@@ -168,14 +168,14 @@ class RowSplitPreconditioner:
         """Y @ r1, stored (as Y^T) or through L1/L2."""
         if self.Yt is not None:
             return matvec_transpose(self.Yt, r1)
-        return matvec(self.factors.L2, sparse_lower_solve(self.factors.L1, r1, unit_diag=True))
+        return matvec(self.factors.L2, sparse_lower_solve(self.factors.L1, r1))
 
     def y_apply_transpose(self, w):
         """Y.T @ w, stored or through L1/L2."""
         if self.Yt is not None:
             return matvec(self.Yt, w)
         return sparse_lower_solve_transpose(
-            self.factors.L1, matvec_transpose(self.factors.L2, w), unit_diag=True
+            self.factors.L1, matvec_transpose(self.factors.L2, w)
         )
 
     # -- S solve -----------------------------------------------------------
@@ -206,7 +206,7 @@ class RowSplitPreconditioner:
             y = r1 + self.y_apply_transpose(w)
         else:
             y = r1
-        v = sparse_lower_solve(self.factors.L1, y, unit_diag=True)
+        v = sparse_lower_solve(self.factors.L1, y)
         return sparse_upper_solve(self.factors.U, v)
 
     # -- incremental update --------------------------------------------------
@@ -273,7 +273,7 @@ class RowSplitPreconditioner:
                                           _psize(factors_new, None))
 
         Yt = self.Yt
-        y = sparse_lower_solve_transpose(f.L1, l, unit_diag=True)
+        y = sparse_lower_solve_transpose(f.L1, l)
         c = matvec_transpose(Yt, y)
         cp = dense_lower_solve(self.S_buffer, c)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below

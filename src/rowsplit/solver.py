@@ -31,13 +31,14 @@ class CglsConfig:
     estimator_delay: int = 5
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if not (np.isfinite(self.norm_A) and self.norm_A >= 0.0):
             raise ValueError("norm_A must be finite and >= 0")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be > 0")
-        if self.estimator_delay < 1:
+        if not (np.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError("delta must be finite and > 0")
+        if not self.estimator_delay >= 1:
             raise ValueError("estimator_delay must be >= 1")
-        if self.max_iters < 1:
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be >= 1")
 
 
@@ -292,5 +293,5 @@ def solve_quasi_square_direct(A: CscMatrix, b) -> np.ndarray:
             f"{factors.nmod} modified pivots: matrix is numerically rank deficient"
         )
     pre = build_preconditioner(factors, SMode.DENSE_FACTOR)
-    pb = factors.row_perm.apply(b)
+    pb = b[factors.row_perm.perm]
     return scaling.unscale_solution(pre.apply(pb[:A.ncols], pb[A.ncols:]))

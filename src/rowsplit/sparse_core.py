@@ -39,10 +39,10 @@ class CscMatrix:
     """Sparse matrix in compressed sparse column form.
 
     Within each column the row indices are strictly increasing and no
-    explicit zeros are stored.  Use ``validate()`` to check both after
-    hand-constructing one.  The kernels cache compiled forms of the
-    matrix (a scipy view, SuperLU objects) on first use, so treat it as
-    immutable: never write to its arrays once it has been used.
+    explicit zeros are stored; from_coo builds one that holds both.  The
+    kernels cache compiled forms of the matrix (a scipy view, SuperLU
+    objects) on first use, so treat it as immutable: never write to its
+    arrays once it has been used.
     """
 
     __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "_compiled")
@@ -72,41 +72,8 @@ class CscMatrix:
     def nnz(self) -> int:
         return int(self.col_ptr[-1])
 
-    def column(self, j):
-        """Row indices and values of column j (views, do not mutate)."""
-        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-        return self.row_idx[lo:hi], self.values[lo:hi]
-
     def column_counts(self):
         return np.diff(self.col_ptr)
-
-    def validate(self):
-        """Check the structural invariants; raises ValueError on failure."""
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("negative dimension")
-        if len(self.col_ptr) != self.ncols + 1:
-            raise ValueError("col_ptr has wrong length")
-        if self.col_ptr[0] != 0 or self.col_ptr[-1] != len(self.row_idx):
-            raise ValueError("col_ptr endpoints inconsistent with storage")
-        if np.any(np.diff(self.col_ptr) < 0):
-            raise ValueError("col_ptr not non-decreasing")
-        if len(self.row_idx) != len(self.values):
-            raise ValueError("row_idx and values length mismatch")
-        if self.nnz:
-            if self.row_idx.min() < 0 or self.row_idx.max() >= self.nrows:
-                raise ValueError("row index out of range")
-            if np.any(self.values == 0.0):
-                raise ValueError("explicitly stored zero")
-            # strictly increasing rows within each column
-            if len(self.row_idx) > 1:
-                d = np.diff(self.row_idx)
-                interior = np.ones(len(self.row_idx) - 1, dtype=bool)
-                bounds = self.col_ptr[1:-1]
-                bounds = bounds[(bounds > 0) & (bounds < len(self.row_idx))]
-                interior[bounds - 1] = False
-                if np.any(d[interior] <= 0):
-                    raise ValueError("row indices not strictly increasing in a column")
-        return self
 
     @staticmethod
     def from_coo(nrows, ncols, rows, cols, vals):
@@ -117,19 +84,6 @@ class CscMatrix:
         M = sp.coo_array((vals, (rows, cols)), shape=(nrows, ncols), dtype=np.float64).tocsc()
         M.eliminate_zeros()
         return CscMatrix(nrows, ncols, M.indptr, M.indices, M.data)
-
-    @staticmethod
-    def from_dense(a, drop_below=0.0):
-        a = np.asarray(a, dtype=np.float64)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("dense matrix has non-finite entries")
-        rows, cols = np.nonzero(np.abs(a) > drop_below)
-        return CscMatrix.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
-
-    @staticmethod
-    def identity(n):
-        idx = np.arange(n, dtype=np.int64)
-        return CscMatrix(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     def to_dense(self):
         return self._scipy().toarray()
@@ -148,33 +102,6 @@ class Permutation:
 
     perm: np.ndarray
     inv: np.ndarray
-
-    @staticmethod
-    def identity(n):
-        idx = np.arange(n, dtype=np.int64)
-        return Permutation(idx.copy(), idx.copy())
-
-    @staticmethod
-    def from_perm(perm):
-        perm = np.asarray(perm, dtype=np.int64)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm), dtype=np.int64)
-        return Permutation(perm, inv)
-
-    def validate(self):
-        n = len(self.perm)
-        if len(self.inv) != n:
-            raise ValueError("perm/inv length mismatch")
-        if not np.array_equal(self.perm[self.inv], np.arange(n)):
-            raise ValueError("perm and inv are not mutually inverse")
-        return self
-
-    def apply(self, v):
-        """Return the permuted vector: out[i] = v[perm[i]]."""
-        return np.asarray(v)[self.perm]
-
-    def apply_inverse(self, v):
-        return np.asarray(v)[self.inv]
 
 
 @dataclass
@@ -214,16 +141,15 @@ def matvec_transpose(A: CscMatrix, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sparse_lower_solve(L: CscMatrix, b, unit_diag=False) -> np.ndarray:
-    """Forward substitution L x = b for lower-triangular CSC L.
+def sparse_lower_solve(L: CscMatrix, b) -> np.ndarray:
+    """Forward substitution L x = b for unit lower-triangular CSC L.
 
     b is one right-hand side of shape (n,) or a block of shape (n, k);
     x has the same shape.  This holds for all four triangular solves.
-    With unit_diag the diagonal is implicit and only strictly
-    sub-diagonal entries may be stored; otherwise the diagonal must be
-    the first stored entry of each column.
+    The unit diagonal is implicit: L stores only strictly sub-diagonal
+    entries.
     """
-    return _triangular_solve(L, b, "unit" if unit_diag else "lower", "N")
+    return _triangular_solve(L, b, "unit", "N")
 
 
 def sparse_upper_solve(U: CscMatrix, b) -> np.ndarray:
@@ -231,9 +157,9 @@ def sparse_upper_solve(U: CscMatrix, b) -> np.ndarray:
     return _triangular_solve(U, b, "upper", "N")
 
 
-def sparse_lower_solve_transpose(L: CscMatrix, b, unit_diag=False) -> np.ndarray:
+def sparse_lower_solve_transpose(L: CscMatrix, b) -> np.ndarray:
     """Solve L.T x = b with the same factor object as sparse_lower_solve."""
-    return _triangular_solve(L, b, "unit" if unit_diag else "lower", "T")
+    return _triangular_solve(L, b, "unit", "T")
 
 
 def sparse_upper_solve_transpose(U: CscMatrix, b) -> np.ndarray:
@@ -253,12 +179,12 @@ def _triangular_solve(T: CscMatrix, b, kind, trans) -> np.ndarray:
 def _triangular_factor(T: CscMatrix, kind):
     """SuperLU object solving with T, built and cached on first use.
 
-    kind "unit" factors T plus the identity; "lower" and "upper" factor
-    T itself after checking that every diagonal entry is stored (first
-    in its column for lower, last for upper) and nonzero.  With the
-    natural ordering and no pivoting, the triangular T is its own LU
-    factor, so a solve is one forward or back substitution.  A failed
-    check caches no solver, so every call raises it again.
+    kind "unit" factors T plus the identity; "upper" factors T itself
+    after checking that every diagonal entry is stored (last in its
+    column) and nonzero.  With the natural ordering and no pivoting, the
+    triangular T is its own LU factor, so a solve is one forward or back
+    substitution.  A failed check caches no solver, so every call raises
+    it again.
     """
     lu = T._compiled.get(kind)
     if lu is None:
@@ -266,9 +192,9 @@ def _triangular_factor(T: CscMatrix, kind):
         if kind == "unit":
             M = M + sp.eye_array(T.ncols, format="csc")
         else:
-            at = ptr[:-1] if kind == "lower" else ptr[1:] - 1
             ok = ptr[:-1] < ptr[1:]
-            ok[ok] = (T.row_idx[at[ok]] == np.flatnonzero(ok)) & (T.values[at[ok]] != 0.0)
+            last = ptr[1:][ok] - 1
+            ok[ok] = (T.row_idx[last] == np.flatnonzero(ok)) & (T.values[last] != 0.0)
             if not ok.all():
                 j = int(np.flatnonzero(~ok)[0])
                 raise np.linalg.LinAlgError(f"missing or zero diagonal in column {j}")

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rowsplit import CscMatrix
 
@@ -48,7 +49,23 @@ def well_conditioned_split(rng, n, s):
 
 
 def csc(a):
-    return CscMatrix.from_dense(np.asarray(a, dtype=float))
+    """CscMatrix holding the nonzeros of a dense array."""
+    a = np.asarray(a, dtype=float)
+    rows, cols = np.nonzero(a)
+    return CscMatrix.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
+
+
+def check_csc(A):
+    """Raise ValueError unless A holds the CscMatrix invariants.
+
+    A well-formed CSC with strictly increasing rows in each column and
+    no stored zero.
+    """
+    M = sp.csc_array((A.values, A.row_idx, A.col_ptr), shape=(A.nrows, A.ncols))
+    M.check_format(full_check=True)
+    if not M.has_canonical_format or np.any(A.values == 0.0):
+        raise ValueError("rows not strictly increasing in a column, or a stored zero")
+    return A
 
 
 def rel_err(got, want):
@@ -65,18 +82,20 @@ def validate_factors(f, params=None):
     1/mu threshold-pivoting bound and every U diagonal at least small.
     """
     n = f.U.ncols
-    f.L1.validate()
-    f.L2.validate()
-    f.U.validate()
-    f.row_perm.validate()
+    for M in (f.L1, f.L2, f.U):
+        check_csc(M)
+    perm, inv = f.row_perm.perm, f.row_perm.inv
+    if len(perm) != len(inv) or not np.array_equal(perm[inv], np.arange(len(perm))):
+        raise ValueError("row_perm is not a permutation with its inverse")
     if f.L1.nrows != n or f.L1.ncols != n or f.U.nrows != n:
         raise ValueError("inconsistent factor dimensions")
     if f.L2.ncols != n:
         raise ValueError("L2 column count mismatch")
     if f.L1.nnz and np.any(f.L1.row_idx <= np.repeat(np.arange(n), f.L1.column_counts())):
         raise ValueError("L1 stores an entry on or above the diagonal")
+    ptr = f.U.col_ptr
     for j in range(n):
-        rows, vals = f.U.column(j)
+        rows, vals = f.U.row_idx[ptr[j]:ptr[j + 1]], f.U.values[ptr[j]:ptr[j + 1]]
         if len(rows) == 0 or rows[-1] != j:
             raise ValueError(f"U missing diagonal in column {j}")
         if params is not None and abs(vals[-1]) < params.small:
@@ -93,7 +112,7 @@ def validate_factors(f, params=None):
                 if M.nnz and np.abs(M.values).min() < tau:
                     raise ValueError("entry below tau kept in L")
             for j in range(n):
-                vals = f.U.column(j)[1]
+                vals = f.U.values[ptr[j]:ptr[j + 1]]
                 if len(vals) > 1 and np.abs(vals[:-1]).min() < tau:
                     raise ValueError("entry below tau kept in U")
         bound = (1.0 / mu) * (1.0 + 1e-12)

@@ -94,6 +94,13 @@ def test_solve_flags(small_mtx, capsys):
     assert out["params"]["rhs_seed"] == 7
 
 
+@pytest.mark.parametrize("flag", ["--tau", "--small", "--delta"])
+def test_solve_rejects_nan_parameter(small_mtx, flag, capsys):
+    assert main(["solve", small_mtx, flag, "nan"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"].startswith("ValueError") and flag[2:] in out["error"]
+
+
 def test_dense_cap_falls_back_to_inner_cg(small_mtx, monkeypatch, caplog):
     monkeypatch.setattr(precond, "DENSE_S_CAP", 1)
     with caplog.at_level(logging.WARNING, logger="rowsplit"):

@@ -27,25 +27,22 @@ from rowsplit.sparse_core import (
     sparse_upper_solve_transpose,
 )
 
-from conftest import rel_err, require_matrix, well_conditioned_split
+from conftest import csc, rel_err, require_matrix, well_conditioned_split
 
-# (solve, lower, unit_diag, transposed)
+# (solve, lower, transposed); the lower solves take an implicit unit diagonal
 SOLVES = {
-    "lower": (lambda T, b: sparse_lower_solve(T, b), True, False, False),
-    "lower_unit": (lambda T, b: sparse_lower_solve(T, b, unit_diag=True), True, True, False),
-    "lower_t": (lambda T, b: sparse_lower_solve_transpose(T, b), True, False, True),
-    "lower_unit_t": (lambda T, b: sparse_lower_solve_transpose(T, b, unit_diag=True),
-                     True, True, True),
-    "upper": (sparse_upper_solve, False, False, False),
-    "upper_t": (sparse_upper_solve_transpose, False, False, True),
+    "lower": (sparse_lower_solve, True, False),
+    "lower_t": (sparse_lower_solve_transpose, True, True),
+    "upper": (sparse_upper_solve, False, False),
+    "upper_t": (sparse_upper_solve_transpose, False, True),
 }
 
 
-def random_triangular(rng, n, density, lower, unit_diag):
+def random_triangular(rng, n, density, lower):
     """Well-conditioned sparse triangular factor in the storage each solve expects."""
     off = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < density) / max(n, 1)
     off = np.tril(off, -1) if lower else np.triu(off, 1)
-    if unit_diag:
+    if lower:
         return off, off + np.eye(n)
     diag = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
     full = off + np.diag(diag)
@@ -60,11 +57,11 @@ def random_triangular(rng, n, density, lower, unit_diag):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_triangular_solves_match_dense(n, density, kind, seed):
-    solve, lower, unit_diag, transposed = SOLVES[kind]
+    solve, lower, transposed = SOLVES[kind]
     rng = np.random.default_rng(seed)
-    stored, full = random_triangular(rng, n, density, lower, unit_diag)
+    stored, full = random_triangular(rng, n, density, lower)
     b = rng.standard_normal(n)
-    got = solve(CscMatrix.from_dense(stored), b)
+    got = solve(csc(stored), b)
     want = scipy.linalg.solve_triangular(full, b, lower=lower, trans="T" if transposed else "N")
     assert got.shape == (n,)
     assert rel_err(got, want) <= 1e-12
@@ -74,7 +71,7 @@ MISSING = CscMatrix(3, 3, [0, 1, 1, 2], [0, 2], [1.0, 1.0])  # column 1 is empty
 ZERO = CscMatrix(2, 2, [0, 1, 2], [0, 1], [1.0, 0.0])  # stored zero on the diagonal
 
 
-@pytest.mark.parametrize("kind", ["lower", "lower_t", "upper", "upper_t"])
+@pytest.mark.parametrize("kind", ["upper", "upper_t"])
 @pytest.mark.parametrize("bad", [MISSING, ZERO], ids=["missing", "zero"])
 def test_bad_diagonal_raises_on_every_call(kind, bad):
     solve = SOLVES[kind][0]
@@ -85,13 +82,13 @@ def test_bad_diagonal_raises_on_every_call(kind, bad):
 
 def test_second_solve_reuses_the_factor_object():
     rng = np.random.default_rng(0)
-    stored, _ = random_triangular(rng, 20, 0.3, lower=True, unit_diag=True)
-    L = CscMatrix.from_dense(stored)
+    stored, _ = random_triangular(rng, 20, 0.3, lower=True)
+    L = csc(stored)
     b = rng.standard_normal(20)
-    first = sparse_lower_solve(L, b, unit_diag=True)
+    first = sparse_lower_solve(L, b)
     lu = L._compiled["unit"]
-    sparse_lower_solve_transpose(L, b, unit_diag=True)
-    assert np.array_equal(sparse_lower_solve(L, b, unit_diag=True), first)
+    sparse_lower_solve_transpose(L, b)
+    assert np.array_equal(sparse_lower_solve(L, b), first)
     assert L._compiled["unit"] is lu
 
 
@@ -244,7 +241,7 @@ def test_concurrent_first_applies_match_serial():
     rhs = [(rng.standard_normal(120), rng.standard_normal(15)) for _ in range(8)]
 
     def fresh():
-        factors = ilup_factorize(CscMatrix.from_dense(a), IlupParams(p=10))
+        factors = ilup_factorize(csc(a), IlupParams(p=10))
         return build_preconditioner(factors, s_mode=SMode.DENSE_FACTOR)
 
     serial = fresh()
@@ -281,10 +278,10 @@ def test_concurrent_first_applies_match_serial():
 )
 def test_block_solve_equals_column_solves(n, k, density, kind, seed):
     """A k-column right-hand side gives the k single-column solves."""
-    solve, lower, unit_diag, _ = SOLVES[kind]
+    solve, lower, _ = SOLVES[kind]
     rng = np.random.default_rng(seed)
-    stored, _ = random_triangular(rng, n, density, lower, unit_diag)
-    T = CscMatrix.from_dense(stored)
+    stored, _ = random_triangular(rng, n, density, lower)
+    T = csc(stored)
     B = rng.standard_normal((n, k)) * (rng.random((n, k)) < 0.5)
     X = solve(T, B)
     assert X.shape == (n, k)

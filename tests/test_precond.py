@@ -26,7 +26,7 @@ from oracle import dense_lls_solve, dense_woodbury_correction
 from rowsplit import precond
 from rowsplit.precond import _gram_plus_identity
 
-from conftest import csc, laauchli, rel_err, well_conditioned_split
+from conftest import check_csc, csc, laauchli, rel_err, well_conditioned_split
 
 
 def hand_factors(L2_dense, n=None):
@@ -35,10 +35,10 @@ def hand_factors(L2_dense, n=None):
     s = L2_dense.shape[0]
     n = n or L2_dense.shape[1]
     return IlupFactors(
-        row_perm=Permutation.identity(n + s),
+        row_perm=Permutation(np.arange(n + s), np.arange(n + s)),
         L1=CscMatrix.from_coo(n, n, [], [], []),
         L2=csc(L2_dense) if s else CscMatrix.from_coo(0, n, [], [], []),
-        U=CscMatrix.identity(n),
+        U=csc(np.eye(n)),
         nmod=0,
     )
 
@@ -84,10 +84,10 @@ def random_unit_lower_factors(rng, n, s, density):
     L2 = rng.standard_normal((s, n)) * (rng.random((s, n)) < density)
     L2[rng.random(s) < 0.3] = 0.0
     return IlupFactors(
-        row_perm=Permutation.identity(n + s),
-        L1=CscMatrix.from_dense(off / max(n, 1)),
-        L2=CscMatrix.from_dense(L2.reshape(s, n)),
-        U=CscMatrix.identity(n),
+        row_perm=Permutation(np.arange(n + s), np.arange(n + s)),
+        L1=csc(off / max(n, 1)),
+        L2=csc(L2.reshape(s, n)),
+        U=csc(np.eye(n)),
         nmod=0,
     )
 
@@ -109,7 +109,7 @@ def test_y_build_equals_l2_times_inverse_l1(n, s, density, seed):
     assert yt.shape == (n, s)
     want = f.L2.to_dense() @ np.linalg.inv(f.L1.to_dense() + np.eye(n))
     assert rel_err(yt.T, want) <= 1e-12
-    Yt = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR).Yt.validate()
+    Yt = check_csc(build_preconditioner(f, s_mode=SMode.DENSE_FACTOR).Yt)
     assert_array_equal(Yt.to_dense(), yt)
 
 
@@ -148,10 +148,10 @@ def test_y_modes_agree():
 
 def test_s_matvec_identity_l2_zero():
     f = IlupFactors(
-        row_perm=Permutation.identity(5),
+        row_perm=Permutation(np.arange(5), np.arange(5)),
         L1=CscMatrix.from_coo(3, 3, [], [], []),
         L2=CscMatrix.from_coo(2, 3, [], [], []),
-        U=CscMatrix.identity(3),
+        U=csc(np.eye(3)),
         nmod=0,
     )
     pre = build_preconditioner(f, s_mode=SMode.INNER_CG)
@@ -181,10 +181,10 @@ def test_s_matvec_matches_dense_gram():
 def test_assemble_s_trivial_cases():
     f0 = hand_factors(np.zeros((0, 2)))
     f0 = IlupFactors(
-        row_perm=Permutation.identity(3),
+        row_perm=Permutation(np.arange(3), np.arange(3)),
         L1=CscMatrix.from_coo(2, 2, [], [], []),
         L2=CscMatrix.from_coo(1, 2, [], [], []),
-        U=CscMatrix.identity(2),
+        U=csc(np.eye(2)),
         nmod=0,
     )
     pre = build_preconditioner(f0, s_mode=SMode.DENSE_FACTOR)
@@ -260,7 +260,7 @@ def test_apply_square_degenerates_to_triangular_solves():
     pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
     r1 = rng.standard_normal(6)
     h = pre.apply(r1, np.zeros(0))
-    v = sparse_lower_solve(f.L1, r1, unit_diag=True)
+    v = sparse_lower_solve(f.L1, r1)
     assert_allclose(h, sparse_upper_solve(f.U, v), rtol=0, atol=0)
 
 
@@ -353,8 +353,7 @@ def matrix_and_row(draw):
 @example(case=(np.eye(3)[:, ::-1], np.array([0.0, 0.0, 4.0])))  # last column only
 def test_with_row_matches_vstack(case):
     a, x = case
-    grown = precond._with_row(CscMatrix.from_dense(a), x)
-    grown.validate()
+    grown = check_csc(precond._with_row(csc(a), x))
     assert_array_equal(grown.to_dense(), np.vstack([a, x]))
 
 
@@ -470,14 +469,14 @@ def test_inner_cg_add_row_matches_build_on_grown_factors():
             pat = np.flatnonzero(row)
             pre = pre.add_row(pat, row[pat])
             L2 = np.vstack([L2, solve_triangular(f.U.to_dense(), row, trans="T")])
-        pre.factors.L2.validate()
+        check_csc(pre.factors.L2)
         assert rel_err(pre.factors.L2.to_dense(), L2) <= 1e-12
         rebuilt = build_preconditioner(pre.factors, s_mode=SMode.INNER_CG)
         assert pre.psize == rebuilt.psize
         r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 3)
         h = pre.apply(r1, r2)
         assert_array_equal(h, rebuilt.apply(r1, r2))
-        reference = replace(pre.factors, L2=CscMatrix.from_dense(L2))
+        reference = replace(pre.factors, L2=csc(L2))
         assert rel_err(h, build_preconditioner(reference, SMode.INNER_CG).apply(r1, r2)) <= 1e-10
 
 

@@ -4,7 +4,6 @@ from numpy.testing import assert_array_equal
 
 from rowsplit import (
     CglsConfig,
-    CscMatrix,
     IlupParams,
     SMode,
     build_preconditioner,
@@ -85,7 +84,7 @@ def test_stopping_ratio_matches_pseudo_inverse_oracle():
 
 
 def test_identity_converges_in_one_iteration():
-    A = CscMatrix.identity(6)
+    A = csc(np.eye(6))
     f = ilup_factorize(A, IlupParams())
     pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
     b = np.random.default_rng(1).uniform(-1, 1, 6)
@@ -96,7 +95,7 @@ def test_identity_converges_in_one_iteration():
 
 def test_zero_gradient_certifies_directly():
     """An exactly vanishing gradient certifies before the estimate window fills."""
-    A = CscMatrix.identity(6)
+    A = csc(np.eye(6))
     x, report = pcgls(A, np.arange(1.0, 7.0), None, CglsConfig(norm_A=1.0))
     assert report.converged and not report.breakdown
     assert report.its == 1 and report.ratio_pt_history == [0.0]
@@ -147,7 +146,7 @@ def test_exact_preconditioner_quasi_square():
 
 
 def test_zero_rhs_is_stationary():
-    A = CscMatrix.identity(4)
+    A = csc(np.eye(4))
     x, report = pcgls(A, np.zeros(4), None, CglsConfig(norm_A=1.0))
     assert report.converged and report.its == 0
     assert_array_equal(x, np.zeros(4))
@@ -328,7 +327,7 @@ def test_stagnation_is_visible_in_the_gradient_norm():
 
 
 def test_pcgls_input_validation():
-    A = CscMatrix.identity(3)
+    A = csc(np.eye(3))
     with pytest.raises(ValueError):
         pcgls(A, np.zeros(2), None, CglsConfig(norm_A=1.0))
     rng = np.random.default_rng(11)

@@ -24,7 +24,7 @@ from rowsplit.sparse_core import (
     sparse_upper_solve_transpose,
 )
 
-from conftest import csc, laauchli, rel_err
+from conftest import check_csc, csc, laauchli, rel_err
 
 
 def dense_triple_loop_matvec(a, x):
@@ -45,7 +45,7 @@ def test_from_coo_sums_duplicates_and_drops_zeros():
     A = CscMatrix.from_coo(2, 2, [0, 0, 1, 1], [0, 0, 1, 1], [2.0, 3.0, 1.0, -1.0])
     assert A.nnz == 1
     assert A.to_dense()[0, 0] == 5.0
-    A.validate()
+    check_csc(A)
 
 
 @st.composite
@@ -73,7 +73,7 @@ def triplets(draw):
 @given(triplets())
 def test_from_coo_matches_dense_accumulation(case):
     nrows, ncols, rows, cols, vals = case
-    A = CscMatrix.from_coo(nrows, ncols, rows, cols, vals).validate()
+    A = check_csc(CscMatrix.from_coo(nrows, ncols, rows, cols, vals))
     assert (A.nrows, A.ncols) == (nrows, ncols)
     want = np.zeros((nrows, ncols))
     np.add.at(want, (rows, cols), vals)
@@ -109,13 +109,13 @@ def test_from_coo_rejects_index_outside_shape(nrows, ncols, axis, past, negative
 def test_validate_rejects_stored_zero():
     A = CscMatrix(2, 2, [0, 1, 2], [0, 1], [1.0, 0.0])
     with pytest.raises(ValueError):
-        A.validate()
+        check_csc(A)
 
 
 def test_validate_rejects_unsorted_rows():
     A = CscMatrix(3, 1, [0, 2], [2, 0], [1.0, 1.0])
     with pytest.raises(ValueError):
-        A.validate()
+        check_csc(A)
 
 
 def test_transpose_round_trip():
@@ -124,7 +124,7 @@ def test_transpose_round_trip():
     A = csc(a)
     assert_array_equal(A.transpose().to_dense(), a.T)
     assert_array_equal(A.transpose().transpose().to_dense(), a)
-    A.transpose().validate()
+    check_csc(A.transpose())
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_transpose_round_trip():
 
 
 def test_matvec_identity():
-    A = CscMatrix.identity(2)
+    A = csc(np.eye(2))
     assert_array_equal(matvec(A, [3.0, -1.0]), [3.0, -1.0])
 
 
@@ -152,7 +152,7 @@ def test_matvec_matches_triple_loop():
 
 
 def test_matvec_transpose_identity_and_laauchli():
-    A = CscMatrix.identity(2)
+    A = csc(np.eye(2))
     assert_array_equal(matvec_transpose(A, [3.0, -1.0]), [3.0, -1.0])
     L = csc(laauchli(1e-4))
     assert_allclose(matvec_transpose(L, [1.0, 1.0, 1.0]), [1 + 1e-4, 1 + 1e-4], rtol=1e-15)
@@ -166,7 +166,7 @@ def test_matvec_transpose_matches_triple_loop():
 
 
 def test_matvec_dimension_mismatch():
-    A = CscMatrix.identity(3)
+    A = csc(np.eye(3))
     with pytest.raises(ValueError):
         matvec(A, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -186,22 +186,23 @@ def test_matvec_empty_column_handling():
 
 
 def test_lower_solve_identity_and_hand_case():
-    assert_array_equal(sparse_lower_solve(CscMatrix.identity(2), [1.0, 2.0]), [1.0, 2.0])
+    identity = CscMatrix.from_coo(2, 2, [], [], [])  # unit diagonal, nothing stored
+    assert_array_equal(sparse_lower_solve(identity, [1.0, 2.0]), [1.0, 2.0])
     L = CscMatrix(2, 2, [0, 1, 1], [1], [2.0])  # unit diag, one sub entry
-    assert_array_equal(sparse_lower_solve(L, [1.0, 4.0], unit_diag=True), [1.0, 2.0])
+    assert_array_equal(sparse_lower_solve(L, [1.0, 4.0]), [1.0, 2.0])
 
 
 def test_lower_solve_residual():
     rng = np.random.default_rng(3)
     a = np.tril(rng.standard_normal((6, 6)), -1) * (rng.random((6, 6)) < 0.6)
-    L = csc(a + np.eye(6))
+    L = csc(a)  # strictly sub-diagonal storage, unit diagonal implied
     b = rng.standard_normal(6)
     x = sparse_lower_solve(L, b)
     assert np.linalg.norm((a + np.eye(6)) @ x - b) <= 1e-14
 
 
 def test_upper_solve_identity_hand_and_residual():
-    assert_array_equal(sparse_upper_solve(CscMatrix.identity(2), [1.0, 2.0]), [1.0, 2.0])
+    assert_array_equal(sparse_upper_solve(csc(np.eye(2)), [1.0, 2.0]), [1.0, 2.0])
     U = csc([[2.0, 1.0], [0.0, 3.0]])
     assert_allclose(sparse_upper_solve(U, [5.0, 6.0]), [1.5, 2.0], rtol=0)
     rng = np.random.default_rng(4)
@@ -218,12 +219,9 @@ def test_upper_solve_missing_diagonal():
 
 
 def test_lower_solve_zero_diagonal():
-    L = csc([[1.0, 0.0], [5.0, 1.0]])
-    x = sparse_lower_solve(L, [1.0, 6.0])
-    assert_allclose(x, [1.0, 1.0], rtol=0)
-    bad = CscMatrix(2, 2, [0, 1, 2], [1, 1], [5.0, 1.0])  # column 0 has no diagonal
-    with pytest.raises(np.linalg.LinAlgError):
-        sparse_lower_solve(bad, [1.0, 1.0])
+    """L stores no diagonal at all: the solve takes every diagonal entry as 1."""
+    L = csc([[0.0, 0.0], [5.0, 0.0]])
+    assert_allclose(sparse_lower_solve(L, [1.0, 6.0]), [1.0, 1.0], rtol=0)
 
 
 def test_transpose_solves_match_dense():
@@ -231,7 +229,7 @@ def test_transpose_solves_match_dense():
     low = np.tril(rng.standard_normal((7, 7)), -1) * (rng.random((7, 7)) < 0.5)
     L = csc(low)  # strictly sub-diagonal storage, unit diagonal implied
     b = rng.standard_normal(7)
-    x = sparse_lower_solve_transpose(L, b, unit_diag=True)
+    x = sparse_lower_solve_transpose(L, b)
     assert np.linalg.norm((low + np.eye(7)).T @ x - b) <= 1e-13
 
     up = np.triu(rng.standard_normal((7, 7)), 1) + np.diag(rng.uniform(1, 2, 7))
@@ -247,14 +245,14 @@ def test_transpose_solves_match_dense():
 def test_sparse_rhs_identity():
     B = np.zeros((4, 2))
     B[2, 0], B[0, 1] = 5.0, -1.0
-    X = sparse_lower_solve(CscMatrix.identity(4), B)
+    X = sparse_lower_solve(CscMatrix.from_coo(4, 4, [], [], []), B)
     assert X.shape == (4, 2)
     assert_array_equal(np.flatnonzero(X[:, 0]), [2])
     assert_array_equal(X, B)
 
 
 def test_sparse_rhs_sink_node_no_fill():
-    L = csc([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    L = csc([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     X = sparse_lower_solve(L, np.eye(3)[:, [2]])
     assert_array_equal(np.flatnonzero(X[:, 0]), [2])
     assert_allclose(X[2, 0], 1.0)
@@ -280,7 +278,7 @@ def test_sparse_rhs_matches_dense_and_bfs():
         n = int(rng.integers(4, 11))
         low = np.tril(rng.standard_normal((n, n)), -1) * (rng.random((n, n)) < 0.35)
         full = low + np.eye(n)
-        L = csc(full)
+        L = csc(low)
         k = int(rng.integers(1, 3))
         pat = np.sort(rng.choice(n, size=k, replace=False))
         vals = rng.standard_normal(k)
@@ -315,7 +313,7 @@ def test_column_scale_three_four_five():
 
 
 def test_column_scale_unit_columns_unchanged():
-    A = CscMatrix.identity(3)
+    A = csc(np.eye(3))
     scaled, scaling = column_scale(A)
     assert_array_equal(scaled.to_dense(), np.eye(3))
     assert_array_equal(scaling.scale, [1.0, 1.0, 1.0])
@@ -359,7 +357,7 @@ def test_power_method_diagonal():
 
 
 def test_power_method_identity_exact():
-    assert power_method_norm2(CscMatrix.identity(5), iters=1, seed=1) == 1.0
+    assert power_method_norm2(csc(np.eye(5)), iters=1, seed=1) == 1.0
 
 
 def test_power_method_vs_dense_eigen():
@@ -382,7 +380,7 @@ def test_power_method_monotone():
 
 def test_power_method_needs_iterations():
     with pytest.raises(ValueError):
-        power_method_norm2(CscMatrix.identity(2), iters=0, seed=0)
+        power_method_norm2(csc(np.eye(2)), iters=0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -549,17 +547,17 @@ def test_kernels_match_dense_up_to_50():
         m = int(rng.integers(2, 51))
         n = int(rng.integers(2, 51))
         a = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.3)
-        A = csc(a)
-        A.validate()
+        A = check_csc(csc(a))
         x = rng.standard_normal(n)
         y = rng.standard_normal(m)
         assert rel_err(matvec(A, x), a @ x) <= 1e-13
         assert rel_err(matvec_transpose(A, y), a.T @ y) <= 1e-13
 
         k = min(m, n)
-        low = np.tril(a[:k, :k], -1) + np.eye(k)
+        strict = np.tril(a[:k, :k], -1)
+        low = strict + np.eye(k)
         b = rng.standard_normal(k)
-        assert rel_err(sparse_lower_solve(csc(low), b), np.linalg.solve(low, b)) <= 1e-13
+        assert rel_err(sparse_lower_solve(csc(strict), b), np.linalg.solve(low, b)) <= 1e-13
         up = np.triu(a[:k, :k], 1) + np.diag(rng.uniform(1.0, 2.0, k))
         assert rel_err(sparse_upper_solve(csc(up), b), np.linalg.solve(up, b)) <= 1e-13
 
@@ -567,6 +565,6 @@ def test_kernels_match_dense_up_to_50():
         pat = np.sort(rng.choice(k, size=seed_count, replace=False))
         bs = np.zeros(k)
         bs[pat] = b[pat]
-        X = sparse_lower_solve(csc(low), np.column_stack([bs, b]))
+        X = sparse_lower_solve(csc(strict), np.column_stack([bs, b]))
         assert rel_err(X[:, 0], np.linalg.solve(low, bs)) <= 1e-13
         assert rel_err(X[:, 1], np.linalg.solve(low, b)) <= 1e-13
