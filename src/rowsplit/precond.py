@@ -46,8 +46,10 @@ class UpdateFailedError(RuntimeError):
     """Row update overflowed (a non-finite factor row or pivot); refactorize instead."""
 
 
-# Largest coupling block (rows of L2) assembled and factorized dense; the
-# s x s S factor then takes 3.2 GB.
+# Largest coupling block (rows of L2) assembled and factorized dense.  At
+# the cap the stored S factor, packed, takes 1.6 GB; the build also holds
+# the s x s Gram matrix (3.2 GB) and, while it factorizes and packs, an
+# s x s copy of it.
 DENSE_S_CAP = 20000
 
 # Conjugate-gradient steps of each inner-CG coupling solve; the count is
@@ -62,7 +64,7 @@ HALF_DIGITS = float(np.sqrt(np.finfo(np.float64).eps))
 
 # A fold that must copy the S factor and Y^T leaves room for
 # max(FOLD_ROOM, s // 8) more rows: a bounded step, not a doubling, so
-# from s = 8 * FOLD_ROOM on the copy of S is about 1.27 times s x s.
+# from s = 8 * FOLD_ROOM on the copy of S is about 1.27 times its triangle.
 FOLD_ROOM = 32
 
 
@@ -90,12 +92,11 @@ def _gram_plus_identity(yt: np.ndarray) -> np.ndarray:
 class _FoldArrays:
     """Dense-S arrays with room for more folds, shared by objects folded from one another.
 
-    S holds the rows of the S factor written so far in a Fortran-order
-    buffer with room for more; idx and val hold the row indices and
-    values of Y^T's columns, with room past the used prefix.  rows is
-    the split-row count of the newest object on these arrays: only that
-    object writes its next row in place, a fold from any other copies
-    first.
+    S holds the rows of the packed S factor, idx and val the row indices
+    and values of Y^T's columns, each with room past the used prefix.
+    rows is the split-row count of the newest object on these arrays:
+    only that object writes its next row in place, a fold from any other
+    copies first.
     """
 
     S: np.ndarray
@@ -104,18 +105,26 @@ class _FoldArrays:
     rows: int
 
     @staticmethod
-    def copy_of(Yt: CscMatrix, S_factor: np.ndarray, k: int) -> "_FoldArrays":
+    def copy_of(Yt: CscMatrix, S_packed: np.ndarray, k: int) -> "_FoldArrays":
         """Copies of Y^T's entries and of the S factor, with room for
         max(FOLD_ROOM, s // 8) more rows, and as many Y^T columns of k entries."""
         s, nnz = Yt.ncols, Yt.nnz
         room = max(FOLD_ROOM, s // 8)
-        S = np.zeros((s + room, s + room), order="F")
-        S[:s, :s] = S_factor
-        idx = np.empty(nnz + room * k, dtype=np.int64)
-        val = np.empty(nnz + room * k)
-        idx[:nnz] = Yt.row_idx
-        val[:nnz] = Yt.values
-        return _FoldArrays(S, idx, val, s)
+        return _FoldArrays(_with_room(S_packed, _tri(s), _tri(s + room)),
+                           _with_room(Yt.row_idx, nnz, nnz + room * k),
+                           _with_room(Yt.values, nnz, nnz + room * k), s)
+
+
+def _tri(s: int) -> int:
+    """Entries of a triangle of order s: where row s starts in a factor packed by rows."""
+    return s * (s + 1) // 2
+
+
+def _with_room(a: np.ndarray, used: int, size: int) -> np.ndarray:
+    """An array of the given size holding a's first `used` entries."""
+    out = np.empty(size, dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
 
 
 @dataclass
@@ -130,20 +139,19 @@ class RowSplitPreconditioner:
     are not thread-safe.
 
     In dense S mode Yt holds Y^T (n x s, one column per row of L2) and
-    S_buffer holds the lower Cholesky factor of S in its leading s x s
-    block (Fortran order); both are None in inner-CG mode.  A built
-    object's S_buffer is exactly s x s.  A folded object's is a buffer
-    with room for more rows, shared with the objects folded from it (see
-    add_row); its S solves read the leading block in place, with the
-    same arithmetic as on a copy of it.  psize counts every stored entry
-    used in the application: the three factors, Y, and the s x s
-    triangle of the S factor, not the room.
+    S_packed holds the lower Cholesky factor of S packed by rows (see
+    dense_cholesky_factorize); both are None in inner-CG mode.  A built
+    object's S_packed holds exactly s(s+1)/2 entries.  A folded object's
+    has room for more rows past them, shared with the objects folded
+    from it (see add_row).  psize counts every stored entry used in the
+    application: the three factors, Y, and the s(s+1)/2 entries of the S
+    factor, not the room.
     """
 
     factors: IlupFactors
     s_mode: SMode
     Yt: CscMatrix | None
-    S_buffer: np.ndarray | None
+    S_packed: np.ndarray | None
     psize: int
     _fold: _FoldArrays | None = field(default=None, repr=False)
 
@@ -154,13 +162,6 @@ class RowSplitPreconditioner:
     @property
     def split_rows(self) -> int:
         return self.factors.L2.nrows
-
-    @property
-    def S_factor(self) -> np.ndarray | None:
-        """The s x s lower Cholesky factor of S (a view of S_buffer), or None."""
-        if self.S_buffer is None:
-            return None
-        return self.S_buffer[:self.split_rows, :self.split_rows]
 
     # -- Y application ----------------------------------------------------
 
@@ -182,7 +183,7 @@ class RowSplitPreconditioner:
 
     def _solve_s(self, u):
         if self.s_mode is SMode.DENSE_FACTOR:
-            return dense_cholesky_solve(self.S_buffer, u)
+            return dense_cholesky_solve(self.S_packed, u)
         return _cg_fixed_steps(lambda v: v + self.y_apply(self.y_apply_transpose(v)), u,
                                INNER_CG_STEPS)
 
@@ -275,12 +276,12 @@ class RowSplitPreconditioner:
         Yt = self.Yt
         y = sparse_lower_solve_transpose(f.L1, l)
         c = matvec_transpose(Yt, y)
-        cp = dense_lower_solve(self.S_buffer, c)
+        cp = dense_lower_solve(self.S_packed, c)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             diag = 1.0 + y @ y
             d_sq = diag - cp @ cp
             if not d_sq >= HALF_DIGITS * diag:
-                w = dense_lower_solve(self.S_buffer, cp, trans=True)
+                w = dense_lower_solve(self.S_packed, cp, trans=True)
                 d_sq = 1.0 + w @ w + np.sum((y - matvec(Yt, w)) ** 2)
         if not np.isfinite(d_sq):
             raise UpdateFailedError("bordered pivot overflowed; refactorization needed")
@@ -288,10 +289,11 @@ class RowSplitPreconditioner:
         pat = np.flatnonzero(y)
         lo, hi = Yt.nnz, Yt.nnz + len(pat)
         fold = self._fold
-        if fold is None or fold.rows != s or s == fold.S.shape[0] or hi > len(fold.idx):
-            fold = _FoldArrays.copy_of(Yt, self.S_factor, len(pat))
-        fold.S[s, :s] = cp
-        fold.S[s, s] = np.sqrt(d_sq)
+        if fold is None or fold.rows != s or _tri(s + 1) > len(fold.S) or hi > len(fold.idx):
+            fold = _FoldArrays.copy_of(Yt, self.S_packed, len(pat))
+        at = _tri(s)  # row s of the factor: s entries cp, then the pivot
+        fold.S[at:at + s] = cp
+        fold.S[at + s] = np.sqrt(d_sq)
         fold.idx[lo:hi] = pat
         fold.val[lo:hi] = y[pat]
         fold.rows = s + 1
@@ -353,7 +355,7 @@ def _psize(factors: IlupFactors, Yt) -> int:
     size = factors.L1.nnz + factors.L2.nnz + factors.U.nnz
     if Yt is not None:
         s = factors.L2.nrows
-        size += Yt.nnz + s * (s + 1) // 2
+        size += Yt.nnz + _tri(s)
     return size
 
 
@@ -367,7 +369,7 @@ def build_preconditioner(
     applies Y through triangular solves.  Raises ValueError when the dense
     mode is requested for a coupling block larger than DENSE_S_CAP.
     """
-    Yt = S_factor = None
+    Yt = S_packed = None
     if s_mode is SMode.DENSE_FACTOR:
         s = factors.L2.nrows
         if s > DENSE_S_CAP:
@@ -377,12 +379,12 @@ def build_preconditioner(
         y_csc = sp.csc_array(yt)  # keeps non-finite values: the Cholesky rejects them
         Yt = CscMatrix(factors.ncols, s, y_csc.indptr, y_csc.indices, y_csc.data)
         del yt  # not held through the Cholesky, which copies the s x s lower triangle
-        S_factor = dense_cholesky_factorize(lower)
+        S_packed = dense_cholesky_factorize(lower)
 
     return RowSplitPreconditioner(
         factors=factors,
         s_mode=s_mode,
         Yt=Yt,
-        S_buffer=S_factor,
+        S_packed=S_packed,
         psize=_psize(factors, Yt),
     )

@@ -3,26 +3,25 @@
 Everything downstream (factorization, preconditioning, the iterative
 solver) works with the types defined here: CscMatrix for sparse data,
 Permutation for row reorderings and ColumnScaling for the
-unit-column-norm prescaling; small dense blocks are plain Fortran-order
-numpy arrays.  All values are float64; all index arrays are int64.  The
-work is scipy's: triplet assembly and densification go through scipy
-sparse arrays, products through a scipy CSC view, triangular solves
-through a SuperLU object, dense Cholesky through LAPACK and its
-triangular sweeps through BLAS (called through ctypes, so that a sweep
-can use the leading block of a larger array).  A CscMatrix builds these
-compiled forms on first use and caches them, so its arrays must not be
-mutated after it has been used in a kernel.
+unit-column-norm prescaling; small dense blocks are plain numpy arrays,
+the Cholesky factor packed by rows.  All values are float64; all index
+arrays are int64.  The work is scipy's: triplet assembly and
+densification go through scipy sparse arrays, products through a scipy
+CSC view, triangular solves through a SuperLU object, dense Cholesky
+through LAPACK and its triangular sweeps through BLAS.  A CscMatrix
+builds these compiled forms on first use and caches them, so its arrays
+must not be mutated after it has been used in a kernel.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import cython_blas
+from scipy.linalg.blas import dtpsv
+from scipy.linalg.lapack import dtrttp
 from scipy.sparse.linalg import splu
 
 
@@ -319,10 +318,13 @@ def read_matrix_market_ex(path):
         except ValueError as exc:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
 
-        try:
-            table = np.loadtxt(f, dtype=np.float64, comments="%", ndmin=2)
-        except ValueError as exc:
-            raise MatrixMarketError(f"malformed entry data: {exc}") from exc
+        if nnz == 0:  # np.loadtxt warns on stderr about a file with no rows
+            table = np.zeros((sum(1 for x in f if x.split("%", 1)[0].strip()), 3))
+        else:
+            try:
+                table = np.loadtxt(f, dtype=np.float64, comments="%", ndmin=2)
+            except ValueError as exc:
+                raise MatrixMarketError(f"malformed entry data: {exc}") from exc
         if table.size == 0:
             table = table.reshape(0, 3)
         if table.shape[1] != 3:
@@ -395,71 +397,44 @@ def read_matrix_market_ex(path):
 
 
 def dense_cholesky_factorize(S) -> np.ndarray:
-    """Lower Cholesky factor (Fortran order) of a symmetric positive definite matrix.
+    """Lower Cholesky factor L of a symmetric positive definite matrix, packed by rows.
 
-    LAPACK potrf on the lower triangle.  Raises ValueError when S is not
-    a square 2-d array and LinAlgError when S has a non-finite entry or
-    is not positive definite.
+    LAPACK potrf reads the lower triangle of S, as the upper triangle of
+    S^T, and computes R = L^T; dtrttp packs R by columns.  Row i of L
+    then sits at entries i(i+1)/2 .. (i+1)(i+2)/2, so the factor of order
+    s is a prefix of one of order s + 1.  Raises ValueError when S is
+    not a square 2-d array and LinAlgError when S has a non-finite entry
+    or is not positive definite.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"Cholesky needs a square matrix, got shape {S.shape}")
     if not np.all(np.isfinite(S)):
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    return np.asfortranarray(scipy.linalg.cholesky(S, lower=True, check_finite=False))
-
-
-def _dtrsm_with_leading_dimension():
-    """BLAS dtrsm from scipy's Cython BLAS table, as a ctypes function.
-
-    scipy.linalg.blas.dtrsm takes the order of the triangle from the
-    array's shape; this one takes it and the leading dimension apart, so
-    a solve can use the leading block of a larger Fortran-order array in
-    place, with the same arithmetic as on a copy of that block.
-    """
-    capsule = cython_blas.__pyx_capi__["dtrsm"]
-    api = ctypes.pythonapi
-    api.PyCapsule_GetName.restype = ctypes.c_char_p
-    api.PyCapsule_GetName.argtypes = [ctypes.py_object]
-    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
-    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
-    signature = api.PyCapsule_GetName(capsule)
-    if signature.count(b"int *") != 4:  # 32-bit BLAS integers, as declared below
-        raise ImportError(f"unexpected BLAS dtrsm signature {signature!r}")
-    char, i, v = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    proto = ctypes.CFUNCTYPE(None, char, char, char, char, i, i,
-                             ctypes.POINTER(ctypes.c_double), v, i, v, i)
-    return proto(api.PyCapsule_GetPointer(capsule, signature))
-
-
-_dtrsm = _dtrsm_with_leading_dimension()
+    return dtrttp(scipy.linalg.cholesky(S.T, lower=False, check_finite=False))[0]
 
 
 def dense_lower_solve(factor, b, trans=False) -> np.ndarray:
-    """Solve L x = b, or L^T x = b with trans, for the leading len(b) block L of factor.
+    """Solve L x = b, or L^T x = b with trans, for L of order len(b) packed by rows.
 
-    factor is a lower-triangular array of at least len(b) rows and
-    columns; nothing past the leading block is read, so factor may be a
-    buffer with room for more rows.  One BLAS dtrsm on the block in
-    place, which gives the same x as on a copy of the block.
+    factor holds L in the layout of dense_cholesky_factorize; only its
+    first len(b)(len(b)+1)/2 entries are read, so it may be a buffer
+    with room for more rows.  One BLAS dtpsv on that prefix.
     """
-    factor = np.asfortranarray(factor, dtype=np.float64)
+    factor = np.asarray(factor, dtype=np.float64)
     x = np.array(b, dtype=np.float64)
-    if x.ndim != 1 or factor.ndim != 2 or min(factor.shape) < len(x):
+    s = x.size
+    if x.ndim != 1 or factor.ndim != 1 or len(factor) < s * (s + 1) // 2:
         raise ValueError("right-hand side length mismatch")
-    s = len(x)
-    if s:
-        n, one = ctypes.c_int(s), ctypes.c_int(1)
-        _dtrsm(b"L", b"L", b"T" if trans else b"N", b"N", n, one, ctypes.c_double(1.0),
-               factor.ctypes.data, ctypes.c_int(factor.shape[0]), x.ctypes.data, n)
-    return x
+    if s == 0:  # dtpsv rejects an empty vector
+        return x
+    return dtpsv(s, factor, x, lower=0, trans=0 if trans else 1, overwrite_x=1)
 
 
 def dense_cholesky_solve(factor, b) -> np.ndarray:
-    """Solve S x = b given the lower Cholesky factor of S.
+    """Solve S x = b given the packed lower Cholesky factor of S.
 
-    The factor is the leading len(b) block of `factor`, as in
-    dense_lower_solve: a forward and a back sweep, LAPACK potrs's
-    arithmetic.
+    A forward and a back sweep with the factor of order len(b), as in
+    dense_lower_solve.
     """
     return dense_lower_solve(factor, dense_lower_solve(factor, b), trans=True)

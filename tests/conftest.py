@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtpttr
 
 from rowsplit import CscMatrix
 
@@ -66,6 +67,16 @@ def check_csc(A):
     if not M.has_canonical_format or np.any(A.values == 0.0):
         raise ValueError("rows not strictly increasing in a column, or a stored zero")
     return A
+
+
+def unpack_lower(packed, s):
+    """The lower triangle of order s from a factor packed by rows (zero above)."""
+    return np.tril(dtpttr(s, packed[:s * (s + 1) // 2])[0].T)
+
+
+def s_factor(pre):
+    """A dense-S preconditioner's lower Cholesky factor of S as an s x s array."""
+    return unpack_lower(pre.S_packed, pre.split_rows)
 
 
 def rel_err(got, want):

@@ -101,6 +101,16 @@ def test_solve_rejects_nan_parameter(small_mtx, flag, capsys):
     assert out["error"].startswith("ValueError") and flag[2:] in out["error"]
 
 
+def test_solve_rejects_file_without_entries(tmp_path, capfd):
+    """A file declaring no entries gets the named error and nothing on stderr."""
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 2 0\n")
+    assert main(["solve", str(path)]) == 1
+    out, err = capfd.readouterr()
+    assert json.loads(out)["error"] == "ValueError: empty matrix"
+    assert err == ""
+
+
 def test_dense_cap_falls_back_to_inner_cg(small_mtx, monkeypatch, caplog):
     monkeypatch.setattr(precond, "DENSE_S_CAP", 1)
     with caplog.at_level(logging.WARNING, logger="rowsplit"):

@@ -27,7 +27,7 @@ from rowsplit.sparse_core import (
     sparse_upper_solve_transpose,
 )
 
-from conftest import csc, rel_err, require_matrix, well_conditioned_split
+from conftest import csc, rel_err, require_matrix, s_factor, well_conditioned_split
 
 # (solve, lower, transposed); the lower solves take an implicit unit diagonal
 SOLVES = {
@@ -138,7 +138,7 @@ def dense_apply(pre, r1, r2):
     L1 = f.L1.to_dense().astype(LD)  # unit diagonal implicit
     y = np.asarray(r1, dtype=LD)
     Y = pre.Yt.to_dense().T.astype(LD)
-    G = pre.S_factor.astype(LD)
+    G = s_factor(pre).astype(LD)
     y = y + Y.T @ _backward(G.T, _forward(G, r2 - Y @ y, unit=False), unit=False)
     v = _forward(L1, y, unit=True)
     return _backward(f.U.to_dense().astype(LD), v, unit=False)
@@ -154,7 +154,7 @@ def dense_apply_float64(pre, r1, r2):
 
     y = np.asarray(r1, dtype=np.float64)
     Y = pre.Yt.to_dense().T
-    y = y + Y.T @ scipy.linalg.cho_solve((pre.S_factor, True), r2 - Y @ y)
+    y = y + Y.T @ scipy.linalg.cho_solve((s_factor(pre), True), r2 - Y @ y)
     return scipy.linalg.solve_triangular(f.U.to_dense(), l1_solve(y), lower=False)
 
 

@@ -26,7 +26,7 @@ from oracle import dense_lls_solve, dense_woodbury_correction
 from rowsplit import precond
 from rowsplit.precond import _gram_plus_identity
 
-from conftest import check_csc, csc, laauchli, rel_err, well_conditioned_split
+from conftest import check_csc, csc, laauchli, rel_err, s_factor, well_conditioned_split
 
 
 def hand_factors(L2_dense, n=None):
@@ -189,17 +189,17 @@ def test_assemble_s_trivial_cases():
     )
     pre = build_preconditioner(f0, s_mode=SMode.DENSE_FACTOR)
     assert_array_equal(_gram_plus_identity(pre.Yt.to_dense()), np.eye(1))
-    assert_array_equal(pre.S_factor, np.eye(1))
+    assert_array_equal(pre.S_packed, [1.0])
 
     pre = build_preconditioner(hand_factors([[1.0, 1.0]]), s_mode=SMode.DENSE_FACTOR)
     assert_array_equal(_gram_plus_identity(pre.Yt.to_dense()), [[3.0]])
-    assert_array_equal(pre.S_factor, [[np.sqrt(3.0)]])
+    assert_array_equal(pre.S_packed, [np.sqrt(3.0)])
 
 
 def test_dense_build_without_split_rows_is_silent(capfd):
     # BLAS rejects a 0 x 0 Gram product with a message on stderr
     pre = build_preconditioner(hand_factors(np.zeros((0, 2))), s_mode=SMode.DENSE_FACTOR)
-    assert pre.S_factor.shape == (0, 0)
+    assert pre.S_packed.shape == (0,)
     assert_array_equal(pre.apply([1.0, 2.0], np.zeros(0)), [1.0, 2.0])
     assert capfd.readouterr().err == ""
 
@@ -216,10 +216,11 @@ def test_assemble_s_matches_dense_gram():
         # only the lower triangle is assembled; the Cholesky reads no more
         assert rel_err(S, np.tril(want)) <= 1e-13
         assert_array_equal(np.triu(S, 1), 0.0)
-        assert S.flags.f_contiguous and pre.S_factor.flags.f_contiguous
-        assert rel_err(pre.S_factor @ pre.S_factor.T, want) <= 1e-13
+        assert S.flags.f_contiguous and pre.S_packed.shape == (s * (s + 1) // 2,)
+        L = s_factor(pre)
+        assert rel_err(L @ L.T, want) <= 1e-13
         # Cholesky pivots are strictly positive: the coupling matrix is SPD
-        assert np.diag(pre.S_factor).min() > 0.0
+        assert np.diag(L).min() > 0.0
 
 
 def test_dense_mode_respects_cap(monkeypatch):
@@ -240,12 +241,14 @@ def test_psize_accounting():
     s = f.L2.nrows
     want = f.L1.nnz + f.L2.nnz + f.U.nnz + pre.Yt.nnz + s * (s + 1) // 2
     assert pre.psize == want
+    assert pre.S_packed.shape == (s * (s + 1) // 2,)  # a built factor stores no more
     pre2 = build_preconditioner(f, s_mode=SMode.INNER_CG)
     assert pre2.psize == f.L1.nnz + f.L2.nnz + f.U.nnz
     # a fold counts its (s+1) x (s+1) triangle, not the room of its buffer
     grown = pre.add_row([0, 3], [1.0, -2.0])
     g = grown.factors
-    assert grown.S_buffer.shape[0] == s + precond.FOLD_ROOM
+    order = s + precond.FOLD_ROOM
+    assert grown.S_packed.shape == (order * (order + 1) // 2,)
     assert grown.psize == g.L1.nnz + g.L2.nnz + g.U.nnz + grown.Yt.nnz + (s + 1) * (s + 2) // 2
 
 
@@ -364,8 +367,9 @@ def test_add_zero_row_keeps_action():
     pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
     pre2 = pre.add_row([], [])
     s = f.L2.nrows
-    assert pre2.S_factor[s, s] == 1.0
-    assert np.all(pre2.S_factor[s, :s] == 0.0)
+    L = s_factor(pre2)
+    assert L[s, s] == 1.0
+    assert np.all(L[s, :s] == 0.0)
     r1, r2 = rng.standard_normal(5), rng.standard_normal(s)
     assert_allclose(
         pre2.apply(r1, np.append(r2, 0.0)), pre.apply(r1, r2), rtol=0, atol=1e-13
@@ -442,7 +446,7 @@ def test_add_row_accepted_for_inner_cg():
     f = factored(rng.standard_normal((7, 4)))
     grown = build_preconditioner(f, s_mode=SMode.INNER_CG).add_row([0, 2], [1.0, -3.0])
     want = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR).add_row([0, 2], [1.0, -3.0])
-    assert grown.Yt is None and grown.S_factor is None
+    assert grown.Yt is None and grown.S_packed is None
     assert grown.split_rows == f.L2.nrows + 1
     assert grown.psize == f.L1.nnz + grown.factors.L2.nnz + f.U.nnz
     mine, theirs = grown.factors.L2, want.factors.L2
@@ -502,14 +506,14 @@ def test_bordered_pivot_does_not_cancel():
     """
     pre = build_preconditioner(hand_factors([[1e10, 0.0]]), SMode.DENSE_FACTOR)
     y = np.array([1e10, 1.0])
-    cp = solve_triangular(pre.S_factor, pre.y_apply(y), lower=True)
+    cp = solve_triangular(s_factor(pre), pre.y_apply(y), lower=True)
     assert 1.0 + y @ y - cp @ cp <= 0.0
 
     Y, yq = [Fraction(1e10), Fraction(0)], [Fraction(v) for v in y]
     c = sum(a * b for a, b in zip(Y, yq))
     schur = 1 + sum(v * v for v in yq) - c * c / (1 + sum(v * v for v in Y))
     grown = pre.add_row([0, 1], y)
-    assert grown.S_factor[1, 1] ** 2 == pytest.approx(float(schur), rel=1e-15)
+    assert s_factor(grown)[1, 1] ** 2 == pytest.approx(float(schur), rel=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -523,7 +527,7 @@ def test_folded_factor_matches_coupling_matrix(n, s, k, seed):
     for _ in range(k):
         pat, vals = random_row(rng, n)
         pre = pre.add_row(pat, vals * 10.0 ** rng.integers(-4, 9))
-    L, yt = pre.S_factor, pre.Yt.to_dense()
+    L, yt = s_factor(pre), pre.Yt.to_dense()
     want = np.eye(s + k) + yt.T @ yt
     assert L.shape == (s + k, s + k)
     assert rel_err(L @ L.T, want) <= 1e-12
@@ -538,7 +542,7 @@ def test_fold_leaves_parent_bit_identical():
     r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 1)
     h_parent, h_built = parent.apply(r1, r2), pre.apply(r1, r2[:s])
     child = parent.add_row(*random_row(rng, n))
-    assert child.S_buffer is parent.S_buffer  # written in place, not copied
+    assert child.S_packed is parent.S_packed  # written in place, not copied
     assert_array_equal(parent.apply(r1, r2), h_parent)
     assert_array_equal(pre.apply(r1, r2[:s]), h_built)
 
@@ -551,7 +555,7 @@ def test_two_folds_from_one_parent_each_match_a_rebuild():
                                   SMode.DENSE_FACTOR).add_row(*random_row(rng, n))
     first = parent.add_row(*random_row(rng, n))
     second = parent.add_row(*random_row(rng, n))
-    assert second.S_buffer is not first.S_buffer
+    assert second.S_packed is not first.S_packed
     r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 2)
     for child in (first, second, first.add_row(*random_row(rng, n))):
         rebuilt = build_preconditioner(child.factors, SMode.DENSE_FACTOR)

@@ -16,6 +16,7 @@ from rowsplit import (
 from rowsplit.sparse_core import (
     dense_cholesky_factorize,
     dense_cholesky_solve,
+    dense_lower_solve,
     matvec,
     matvec_transpose,
     sparse_lower_solve,
@@ -24,7 +25,7 @@ from rowsplit.sparse_core import (
     sparse_upper_solve_transpose,
 )
 
-from conftest import check_csc, csc, laauchli, rel_err
+from conftest import check_csc, csc, laauchli, rel_err, unpack_lower
 
 
 def dense_triple_loop_matvec(a, x):
@@ -482,6 +483,7 @@ def test_read_removes_null_rows_and_cols(tmp_path):
         "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5.0\n",
         "%%MatrixMarket matrix coordinate real general\nnope\n",
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0 9\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 0\n1 1 1.0\n",
     ],
 )
 def test_read_rejects_malformed(tmp_path, text):
@@ -496,13 +498,14 @@ def test_read_rejects_malformed(tmp_path, text):
 
 
 def test_cholesky_identity():
+    # packed by rows: (1), (0, 1), (0, 0, 1)
     f = dense_cholesky_factorize(np.eye(3))
-    assert_array_equal(f, np.eye(3))
+    assert_array_equal(f, [1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
 
 
 def test_cholesky_hand_case():
     f = dense_cholesky_factorize(np.array([[4.0, 2.0], [2.0, 5.0]]))
-    assert_allclose(f, [[2.0, 0.0], [1.0, 2.0]], rtol=0, atol=1e-15)
+    assert_allclose(f, [2.0, 1.0, 2.0], rtol=0, atol=1e-15)
 
 
 def test_cholesky_solve_residual():
@@ -515,18 +518,28 @@ def test_cholesky_solve_residual():
     assert rel_err(s @ x, b) <= 1e-12
 
 
-@pytest.mark.parametrize("s, room", [(1, 1), (3, 29), (7, 32), (300, 37)])
-def test_cholesky_solve_on_leading_block(s, room):
-    """A solve with the leading s x s block of a larger buffer reads nothing
-    past the block and gives, bit for bit, what LAPACK potrs gives on a
-    copy of the block."""
-    rng = np.random.default_rng(s)
+@settings(max_examples=100, deadline=None)
+@given(s=st.integers(0, 40), room=st.integers(0, 40), trans=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_cholesky_solve_on_packed_prefix(s, room, trans, seed):
+    """A sweep with the factor of order s reads only its s(s+1)/2 entries:
+    with NaN in the room past them it gives, bit for bit, what it gives
+    on the exactly sized factor, and a solve agrees with cho_solve."""
+    rng = np.random.default_rng(seed)
     y = rng.standard_normal((s, 4))
-    f = dense_cholesky_factorize(np.eye(s) + y @ y.T)
-    buf = np.full((s + room, s + room), np.nan, order="F")
-    buf[:s, :s] = f
+    S = np.eye(s) + y @ y.T
+    f = dense_cholesky_factorize(S)
+    assert f.shape == (s * (s + 1) // 2,)
+    buf = np.full((s + room) * (s + room + 1) // 2, np.nan)
+    buf[:len(f)] = f
     b = rng.standard_normal(s)
-    assert_array_equal(dense_cholesky_solve(buf, b), scipy.linalg.cho_solve((f, True), b))
+    x = dense_lower_solve(buf, b, trans=trans)
+    assert x.shape == (s,)
+    assert_array_equal(x, dense_lower_solve(f, b, trans=trans))
+    x = dense_cholesky_solve(buf, b)
+    assert_array_equal(x, dense_cholesky_solve(f, b))
+    if s:
+        assert rel_err(x, scipy.linalg.cho_solve((unpack_lower(f, s), True), b)) <= 1e-12
     with pytest.raises(ValueError):
         dense_cholesky_solve(buf, np.ones(s + room + 1))
 
