@@ -518,6 +518,25 @@ def test_cholesky_solve_residual():
     assert rel_err(s @ x, b) <= 1e-12
 
 
+@pytest.mark.parametrize("s, room", [(1, 1), (3, 29), (7, 32), (300, 37)])
+def test_cholesky_solve_on_leading_block(s, room):
+    """A solve with the factor of order s at the head of a buffer with room
+    for more rows reads nothing past it and gives, bit for bit, what LAPACK
+    pptrs gives on the exactly sized packed factor."""
+    rng = np.random.default_rng(s)
+    y = rng.standard_normal((s, 4))
+    f = dense_cholesky_factorize(np.eye(s) + y @ y.T)
+    buf = np.full((s + room) * (s + room + 1) // 2, np.nan)
+    buf[:len(f)] = f
+    b = rng.standard_normal(s)
+    # packed by rows, L is R = L^T packed by columns: pptrs with uplo U
+    ref, info = scipy.linalg.lapack.dpptrs(s, f, b, lower=0)
+    assert info == 0
+    assert_array_equal(dense_cholesky_solve(buf, b), ref)
+    with pytest.raises(ValueError):
+        dense_cholesky_solve(buf, np.ones(s + room + 1))
+
+
 @settings(max_examples=100, deadline=None)
 @given(s=st.integers(0, 40), room=st.integers(0, 40), trans=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
