@@ -48,8 +48,8 @@ class UpdateFailedError(RuntimeError):
 
 # Largest coupling block (rows of L2) assembled and factorized dense.  At
 # the cap the stored S factor, packed, takes 1.6 GB; the build also holds
-# the s x s Gram matrix (3.2 GB) and, while it factorizes and packs, an
-# s x s copy of it.
+# the s x s Gram matrix (3.2 GB), which it factorizes in place, so it
+# peaks at about 4.8 GB.
 DENSE_S_CAP = 20000
 
 # Conjugate-gradient steps of each inner-CG coupling solve; the count is
@@ -78,12 +78,17 @@ def build_y_explicit(factors: IlupFactors) -> np.ndarray:
 
 
 def _gram_plus_identity(yt: np.ndarray) -> np.ndarray:
-    """Lower triangle of I + Y Y^T from the dense Y^T (Fortran order, zero above)."""
+    """Lower triangle of I + Y Y^T from the dense Y^T (C order, zero above).
+
+    dsyrk fills the upper triangle of a Fortran-order array; its transpose
+    is the lower triangle in C order, which dense_cholesky_factorize
+    factors in place.
+    """
     s = yt.shape[1]
     if s == 0:
         # BLAS dsyrk rejects a 0 x 0 output with a message on stderr
-        return np.zeros((0, 0), order="F")
-    g = dsyrk(1.0, yt, trans=1, lower=1)
+        return np.zeros((0, 0))
+    g = dsyrk(1.0, yt, trans=1, lower=0).T
     g[np.diag_indices(s)] += 1.0
     return g
 
@@ -378,8 +383,8 @@ def build_preconditioner(
         lower = _gram_plus_identity(yt)
         y_csc = sp.csc_array(yt)  # keeps non-finite values: the Cholesky rejects them
         Yt = CscMatrix(factors.ncols, s, y_csc.indptr, y_csc.indices, y_csc.data)
-        del yt  # not held through the Cholesky, which copies the s x s lower triangle
-        S_packed = dense_cholesky_factorize(lower)
+        del yt  # not held through the Cholesky
+        S_packed = dense_cholesky_factorize(lower, overwrite_s=True)
 
     return RowSplitPreconditioner(
         factors=factors,

@@ -15,6 +15,7 @@ must not be mutated after it has been used in a kernel.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,13 +319,12 @@ def read_matrix_market_ex(path):
         except ValueError as exc:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
 
-        if nnz == 0:  # np.loadtxt warns on stderr about a file with no rows
-            table = np.zeros((sum(1 for x in f if x.split("%", 1)[0].strip()), 3))
-        else:
-            try:
+        try:
+            with warnings.catch_warnings():  # the count check below names the error
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 table = np.loadtxt(f, dtype=np.float64, comments="%", ndmin=2)
-            except ValueError as exc:
-                raise MatrixMarketError(f"malformed entry data: {exc}") from exc
+        except ValueError as exc:
+            raise MatrixMarketError(f"malformed entry data: {exc}") from exc
         if table.size == 0:
             table = table.reshape(0, 3)
         if table.shape[1] != 3:
@@ -396,22 +396,24 @@ def read_matrix_market_ex(path):
 # ---------------------------------------------------------------------------
 
 
-def dense_cholesky_factorize(S) -> np.ndarray:
+def dense_cholesky_factorize(S, overwrite_s=False) -> np.ndarray:
     """Lower Cholesky factor L of a symmetric positive definite matrix, packed by rows.
 
     LAPACK potrf reads the lower triangle of S, as the upper triangle of
     S^T, and computes R = L^T; dtrttp packs R by columns.  Row i of L
     then sits at entries i(i+1)/2 .. (i+1)(i+2)/2, so the factor of order
-    s is a prefix of one of order s + 1.  Raises ValueError when S is
-    not a square 2-d array and LinAlgError when S has a non-finite entry
-    or is not positive definite.
+    s is a prefix of one of order s + 1.  With overwrite_s, a C-order S
+    is factorized in place and its contents are lost.  Raises ValueError
+    when S is not a square 2-d array and LinAlgError when S has a
+    non-finite entry or is not positive definite.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"Cholesky needs a square matrix, got shape {S.shape}")
     if not np.all(np.isfinite(S)):
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    return dtrttp(scipy.linalg.cholesky(S.T, lower=False, check_finite=False))[0]
+    R = scipy.linalg.cholesky(S.T, lower=False, overwrite_a=overwrite_s, check_finite=False)
+    return dtrttp(R)[0]
 
 
 def dense_lower_solve(factor, b, trans=False) -> np.ndarray:

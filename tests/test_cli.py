@@ -102,13 +102,17 @@ def test_solve_rejects_nan_parameter(small_mtx, flag, capsys):
 
 
 def test_solve_rejects_file_without_entries(tmp_path, capfd):
-    """A file declaring no entries gets the named error and nothing on stderr."""
+    """A file with no entry lines gets the named error and nothing on stderr."""
     path = tmp_path / "empty.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate real general\n3 2 0\n")
-    assert main(["solve", str(path)]) == 1
-    out, err = capfd.readouterr()
-    assert json.loads(out)["error"] == "ValueError: empty matrix"
-    assert err == ""
+    for nnz, error in [
+        (0, "ValueError: empty matrix"),
+        (2, "MatrixMarketError: expected 2 entries, found 0"),
+    ]:
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n3 2 {nnz}\n")
+        assert main(["solve", str(path)]) == 1
+        out, err = capfd.readouterr()
+        assert json.loads(out)["error"] == error
+        assert err == ""
 
 
 def test_dense_cap_falls_back_to_inner_cg(small_mtx, monkeypatch, caplog):

@@ -216,7 +216,8 @@ def test_assemble_s_matches_dense_gram():
         # only the lower triangle is assembled; the Cholesky reads no more
         assert rel_err(S, np.tril(want)) <= 1e-13
         assert_array_equal(np.triu(S, 1), 0.0)
-        assert S.flags.f_contiguous and pre.S_packed.shape == (s * (s + 1) // 2,)
+        # C order: the transpose the Cholesky reads is Fortran order, factorized in place
+        assert S.flags.c_contiguous and pre.S_packed.shape == (s * (s + 1) // 2,)
         L = s_factor(pre)
         assert rel_err(L @ L.T, want) <= 1e-13
         # Cholesky pivots are strictly positive: the coupling matrix is SPD

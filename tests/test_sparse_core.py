@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -561,6 +563,24 @@ def test_cholesky_solve_on_packed_prefix(s, room, trans, seed):
         assert rel_err(x, scipy.linalg.cho_solve((unpack_lower(f, s), True), b)) <= 1e-12
     with pytest.raises(ValueError):
         dense_cholesky_solve(buf, np.ones(s + room + 1))
+
+
+def test_cholesky_in_place_holds_no_square_copy():
+    """With overwrite_s a C-order S is factorized in place: the packed
+    factor is the only large allocation, where a copy of S alone would
+    take S.nbytes."""
+    rng = np.random.default_rng(12)
+    y = rng.standard_normal((300, 4))
+    S = np.eye(300) + y @ y.T
+    want = dense_cholesky_factorize(S)
+    tracemalloc.start()
+    try:
+        f = dense_cholesky_factorize(S, overwrite_s=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_array_equal(f, want)
+    assert peak < 0.75 * S.nbytes
 
 
 def test_cholesky_rejects_indefinite():
