@@ -71,10 +71,10 @@ def run_single(cfg: RunConfig) -> dict:
     factors = ilup_factorize(scaled, _from_config(IlupParams, cfg))
 
     s_mode = SMode(cfg.s_mode)
-    split = factors.L2.nrows
-    if s_mode is SMode.DENSE_FACTOR and split > precond.DENSE_S_CAP:
-        _log.warning("coupling block %d exceeds dense cap %d; falling back to inner CG",
-                     split, precond.DENSE_S_CAP)
+    order = precond.coupling_gram_order(factors)
+    if s_mode is SMode.DENSE_FACTOR and order > precond.DENSE_S_CAP:
+        _log.warning("coupling Gram of order %d exceeds dense cap %d; falling back to inner CG",
+                     order, precond.DENSE_S_CAP)
         s_mode = SMode.INNER_CG
     pre = build_preconditioner(factors, s_mode=s_mode)
 

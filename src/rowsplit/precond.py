@@ -2,12 +2,16 @@
 
 A factorization P A ~ (L1; L2) U splits the rows into a square leading
 block and a remainder.  The preconditioner applies the exact
-least-squares correction of that split, with the small coupling system
-S = I + Y Y^T (Y = L2 L1^{-1}) handled in one of two ways: assembled
-dense and Cholesky-factorized, or solved approximately by a fixed number
-of conjugate-gradient steps.  Y is stored, as the sparse matrix Y^T, exactly
-when S is assembled dense; otherwise it is applied implicitly through
-triangular solves.
+least-squares correction of that split,
+h = U^{-1} L1^{-1} G^{-1} (r1 + Y^T r2) with Y = L2 L1^{-1} and
+G = I + Y^T Y, in one of two ways.  Inner-CG mode uses the Woodbury form
+G^{-1} (r1 + Y^T r2) = r1 + Y^T S^{-1} (r2 - Y r1) with S = I + Y Y^T,
+solved approximately by a fixed number of conjugate-gradient steps, and
+applies Y implicitly through triangular solves.  Dense mode assembles and
+Cholesky-factorizes the smaller of the two Grams: S, of order s (the
+split-row count), when s <= n, storing Y as the sparse matrix Y^T; G, of
+order n, when s > n, storing no Y and applying Y^T r2 through triangular
+solves.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ class UpdateFailedError(RuntimeError):
     """Row update overflowed (a non-finite factor row or pivot); refactorize instead."""
 
 
-# Largest coupling block (rows of L2) assembled and factorized dense.  At
-# the cap the stored S factor, packed, takes 1.6 GB; the build also holds
-# the s x s Gram matrix (3.2 GB), which it factorizes in place, so it
-# peaks at about 4.8 GB.
+# Largest coupling Gram assembled and factorized dense, by its order
+# min(s, n) (see coupling_gram_order).  At the cap the stored factor,
+# packed, takes 1.6 GB; the build also holds the Gram itself (3.2 GB),
+# which it factorizes in place, so it peaks at about 4.8 GB, plus the
+# dense n x s array Y^T while the Gram is formed from it.
 DENSE_S_CAP = 20000
 
 # Conjugate-gradient steps of each inner-CG coupling solve; the count is
@@ -77,19 +82,26 @@ def build_y_explicit(factors: IlupFactors) -> np.ndarray:
     return sparse_lower_solve_transpose(factors.L1, factors.L2.to_dense().T)
 
 
-def _gram_plus_identity(yt: np.ndarray) -> np.ndarray:
-    """Lower triangle of I + Y Y^T from the dense Y^T (C order, zero above).
+def coupling_gram_order(factors: IlupFactors) -> int:
+    """Order of the Gram that dense mode factors: min(s, n), held to DENSE_S_CAP."""
+    return min(factors.L2.nrows, factors.ncols)
 
-    dsyrk fills the upper triangle of a Fortran-order array; its transpose
-    is the lower triangle in C order, which dense_cholesky_factorize
-    factors in place.
+
+def _gram_plus_identity(yt: np.ndarray) -> np.ndarray:
+    """Lower triangle of the smaller coupling Gram from the dense Y^T (C order, zero above).
+
+    I + Y Y^T (order s) when Y^T (n x s) has s <= n, else I + Y^T Y
+    (order n).  dsyrk fills the upper triangle of a Fortran-order array;
+    its transpose is the lower triangle in C order, which
+    dense_cholesky_factorize factors in place.
     """
-    s = yt.shape[1]
-    if s == 0:
+    n, s = yt.shape
+    order = min(n, s)
+    if order == 0:
         # BLAS dsyrk rejects a 0 x 0 output with a message on stderr
         return np.zeros((0, 0))
-    g = dsyrk(1.0, yt, trans=1, lower=0).T
-    g[np.diag_indices(s)] += 1.0
+    g = dsyrk(1.0, yt, trans=int(s <= n), lower=0).T
+    g[np.diag_indices(order)] += 1.0
     return g
 
 
@@ -98,8 +110,8 @@ class _FoldArrays:
     """Dense-S arrays with room for more folds, shared by objects folded from one another.
 
     S holds the rows of the packed S factor, idx and val the row indices
-    and values of Y^T's columns, each with room past the used prefix.
-    rows is the split-row count of the newest object on these arrays:
+    and values of Yt's columns, each with room past the used prefix.
+    rows is Yt's column count in the newest object on these arrays:
     only that object writes its next row in place, a fold from any other
     copies first.
     """
@@ -143,14 +155,21 @@ class RowSplitPreconditioner:
     calls may each build one).  Concurrent add_row calls on one object
     are not thread-safe.
 
-    In dense S mode Yt holds Y^T (n x s, one column per row of L2) and
-    S_packed holds the lower Cholesky factor of S packed by rows (see
-    dense_cholesky_factorize); both are None in inner-CG mode.  A built
-    object's S_packed holds exactly s(s+1)/2 entries.  A folded object's
-    has room for more rows past them, shared with the objects folded
-    from it (see add_row).  psize counts every stored entry used in the
-    application: the three factors, Y, and the s(s+1)/2 entries of the S
-    factor, not the room.
+    Dense mode factors the Gram of order min(s, n) at build.  When s <= n
+    it is S: Yt holds Y^T (n x s, one column per row of L2), S_packed the
+    lower Cholesky factor of S packed by rows (see
+    dense_cholesky_factorize) and G_packed is None.  When s > n it is G:
+    G_packed holds the packed lower factor L_G of G, and Yt and S_packed
+    start empty (n x 0 and order 0).  The split rows then fall in two
+    parts: the s_a rows built into G, and the rows folded since, which
+    add_row stores as the columns f = L_G^{-1} y of Yt = F^T, with
+    S_packed the factor of S_F = I + F F^T.  All three are None in
+    inner-CG mode.  A built object's S_packed holds exactly k(k+1)/2
+    entries for k = Yt.ncols.  A folded object's has room for more rows
+    past them, shared with the objects folded from it (see add_row).
+    psize counts every stored entry used in the application: the three
+    factors, the entries of Yt, the k(k+1)/2 entries of the S factor,
+    not the room, and the n(n+1)/2 entries of L_G when there is one.
     """
 
     factors: IlupFactors
@@ -158,6 +177,7 @@ class RowSplitPreconditioner:
     Yt: CscMatrix | None
     S_packed: np.ndarray | None
     psize: int
+    G_packed: np.ndarray | None = None
     _fold: _FoldArrays | None = field(default=None, repr=False)
 
     @property
@@ -171,13 +191,13 @@ class RowSplitPreconditioner:
     # -- Y application ----------------------------------------------------
 
     def y_apply(self, r1):
-        """Y @ r1, stored (as Y^T) or through L1/L2."""
+        """Y @ r1, stored (as Y^T) or through L1/L2; past a G factor, F @ r1."""
         if self.Yt is not None:
             return matvec_transpose(self.Yt, r1)
         return matvec(self.factors.L2, sparse_lower_solve(self.factors.L1, r1))
 
     def y_apply_transpose(self, w):
-        """Y.T @ w, stored or through L1/L2."""
+        """Y.T @ w, stored or through L1/L2; past a G factor, F.T @ w."""
         if self.Yt is not None:
             return matvec(self.Yt, w)
         return sparse_lower_solve_transpose(
@@ -197,23 +217,36 @@ class RowSplitPreconditioner:
     def apply(self, r1, r2) -> np.ndarray:
         """Preconditioned direction from the split residual (r1, r2).
 
-        Computes h with L1 U h = r1 + Y^T w, where S w = r2 - Y r1 is
-        solved per s_mode.  The caller passes residual components in
-        pivot order; the transposed-matrix product is folded in, so the
-        result approximates the exact least-squares correction.
+        Computes h with L1 U h = y.  Without a G factor,
+        y = r1 + Y^T w, where S w = r2 - Y r1 is solved per s_mode.  With
+        one, q = L_G^{-1} (r1 + Y^T r2[:s_a]) takes the rows built into G,
+        the same step takes the rows folded since with F in place of Y,
+        q + F^T w with S_F w = r2[s_a:] - F q, and y = L_G^{-T} of that.
+        The caller passes residual components in pivot order; the
+        transposed-matrix product is folded in, so the result
+        approximates the exact least-squares correction.
         """
+        f = self.factors
         r1 = np.asarray(r1, dtype=np.float64)
         r2 = np.asarray(r2, dtype=np.float64)
         if r1.shape != (self.n,) or r2.shape != (self.split_rows,):
             raise ValueError("residual component lengths do not match the split")
-        if self.split_rows:
-            u = r2 - self.y_apply(r1)
+        s_a = 0  # the leading split rows built into G
+        y = r1
+        if self.G_packed is not None:
+            s_a = self.split_rows - self.Yt.ncols
+            built = np.zeros(self.split_rows)
+            built[:s_a] = r2[:s_a]
+            yt_r2 = sparse_lower_solve_transpose(f.L1, matvec_transpose(f.L2, built))
+            y = dense_lower_solve(self.G_packed, r1 + yt_r2)
+        if self.split_rows > s_a:
+            u = r2[s_a:] - self.y_apply(y)
             w = self._solve_s(u)
-            y = r1 + self.y_apply_transpose(w)
-        else:
-            y = r1
-        v = sparse_lower_solve(self.factors.L1, y)
-        return sparse_upper_solve(self.factors.U, v)
+            y = y + self.y_apply_transpose(w)
+        if self.G_packed is not None:
+            y = dense_lower_solve(self.G_packed, y, trans=True)
+        v = sparse_lower_solve(f.L1, y)
+        return sparse_upper_solve(f.U, v)
 
     # -- incremental update --------------------------------------------------
 
@@ -224,8 +257,10 @@ class RowSplitPreconditioner:
         The leading factor block is reused: the new row a adds one row
         l = U^{-T} a to L2 and, in dense mode, one column y = L1^{-T} l
         to Y^T and one row (cp, d) to the S factor L, where cp = L^{-1} c
-        and c = Y y couples y with the stored rows.  The pivot is
-        d^2 = 1 + y.y - cp.cp, as a Cholesky factorization of the
+        and c = Y y couples y with the stored rows.  A fold onto a G
+        factor stores f = L_G^{-1} y in place of y, as a column of F^T,
+        and borders the factor of S_F = I + F F^T the same way.  The
+        pivot is d^2 = 1 + y.y - cp.cp, as a Cholesky factorization of the
         assembled S computes it, while that keeps half its digits
         (HALF_DIGITS); past that it is the equal sum of squares
         1 + ||w||^2 + ||y - Y^T w||^2 with w = S^{-1} c, which cannot
@@ -233,11 +268,12 @@ class RowSplitPreconditioner:
         row is the whole update.
 
         A dense fold costs a product with the stored Y, a sweep with the
-        S factor (and, for the sum of squares, one more of each) and the
-        insertion of the L2 row: O(nnz(Y) + s^2 + nnz(L2)), with no copy
-        of S.  The S factor and Y^T grow in place, in arrays with room
-        for max(FOLD_ROOM, s // 8) more rows that are shared by the
-        objects folded from one another.  A fold from an object that is
+        S factor (and, for the sum of squares, one more of each), a sweep
+        with L_G when there is one, and the insertion of the L2 row:
+        O(nnz(Y) + s^2 + n^2 + nnz(L2)), with no copy of S.  The S
+        factor and Y^T grow in place, in arrays with room for
+        max(FOLD_ROOM, s // 8) more rows that are shared by the objects
+        folded from one another.  A fold from an object that is
         not the newest on its arrays, or that finds no room, copies them
         first (copy on write), so every object stays immutable; the
         first fold from a built object always copies.  Concurrent
@@ -250,7 +286,7 @@ class RowSplitPreconditioner:
         diagonal.
         """
         f = self.factors
-        s, n = f.L2.nrows, f.L2.ncols
+        n = f.L2.ncols
         pattern = np.asarray(pattern)
         values = np.asarray(values, dtype=np.float64)
         if pattern.ndim != 1 or pattern.shape != values.shape:
@@ -278,8 +314,10 @@ class RowSplitPreconditioner:
             return RowSplitPreconditioner(factors_new, self.s_mode, None, None,
                                           _psize(factors_new, None))
 
-        Yt = self.Yt
+        Yt, k = self.Yt, self.Yt.ncols  # the order of S, or of S_F past a G factor
         y = sparse_lower_solve_transpose(f.L1, l)
+        if self.G_packed is not None:
+            y = dense_lower_solve(self.G_packed, y)
         c = matvec_transpose(Yt, y)
         cp = dense_lower_solve(self.S_packed, c)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -294,17 +332,18 @@ class RowSplitPreconditioner:
         pat = np.flatnonzero(y)
         lo, hi = Yt.nnz, Yt.nnz + len(pat)
         fold = self._fold
-        if fold is None or fold.rows != s or _tri(s + 1) > len(fold.S) or hi > len(fold.idx):
+        if fold is None or fold.rows != k or _tri(k + 1) > len(fold.S) or hi > len(fold.idx):
             fold = _FoldArrays.copy_of(Yt, self.S_packed, len(pat))
-        at = _tri(s)  # row s of the factor: s entries cp, then the pivot
-        fold.S[at:at + s] = cp
-        fold.S[at + s] = np.sqrt(d_sq)
+        at = _tri(k)  # row k of the factor: k entries cp, then the pivot
+        fold.S[at:at + k] = cp
+        fold.S[at + k] = np.sqrt(d_sq)
         fold.idx[lo:hi] = pat
         fold.val[lo:hi] = y[pat]
-        fold.rows = s + 1
-        Yt_new = CscMatrix(n, s + 1, np.append(Yt.col_ptr, hi), fold.idx[:hi], fold.val[:hi])
+        fold.rows = k + 1
+        Yt_new = CscMatrix(n, k + 1, np.append(Yt.col_ptr, hi), fold.idx[:hi], fold.val[:hi])
         return RowSplitPreconditioner(factors_new, self.s_mode, Yt_new, fold.S,
-                                      _psize(factors_new, Yt_new), fold)
+                                      _psize(factors_new, Yt_new, self.G_packed),
+                                      self.G_packed, fold)
 
 
 def _with_row(M: CscMatrix, x) -> CscMatrix:
@@ -356,11 +395,12 @@ def _cg_fixed_steps(op, u, iters):
     return w
 
 
-def _psize(factors: IlupFactors, Yt) -> int:
+def _psize(factors: IlupFactors, Yt, G_packed=None) -> int:
     size = factors.L1.nnz + factors.L2.nnz + factors.U.nnz
     if Yt is not None:
-        s = factors.L2.nrows
-        size += Yt.nnz + _tri(s)
+        size += Yt.nnz + _tri(Yt.ncols)
+    if G_packed is not None:
+        size += _tri(factors.ncols)
     return size
 
 
@@ -370,26 +410,33 @@ def build_preconditioner(
 ) -> RowSplitPreconditioner:
     """Assemble the applied preconditioner from factors.
 
-    Dense S mode stores Y^T and the Cholesky factor of S; inner-CG mode
-    applies Y through triangular solves.  Raises ValueError when the dense
-    mode is requested for a coupling block larger than DENSE_S_CAP.
+    Dense mode factors the Gram of order min(s, n): with s <= n it
+    stores Y^T and the Cholesky factor of S = I + Y Y^T, with s > n the
+    Cholesky factor of G = I + Y^T Y and no Y.  Inner-CG mode applies Y
+    through triangular solves.  Raises ValueError when the dense mode is
+    requested for a Gram of order larger than DENSE_S_CAP.
     """
-    Yt = S_packed = None
+    Yt = S_packed = G_packed = None
     if s_mode is SMode.DENSE_FACTOR:
-        s = factors.L2.nrows
-        if s > DENSE_S_CAP:
-            raise ValueError(f"coupling block of size {s} exceeds the dense cap {DENSE_S_CAP}")
+        order = coupling_gram_order(factors)
+        if order > DENSE_S_CAP:
+            raise ValueError(f"coupling Gram of order {order} exceeds the dense cap {DENSE_S_CAP}")
+        n, s = factors.ncols, factors.L2.nrows
         yt = build_y_explicit(factors)
         lower = _gram_plus_identity(yt)
-        y_csc = sp.csc_array(yt)  # keeps non-finite values: the Cholesky rejects them
-        Yt = CscMatrix(factors.ncols, s, y_csc.indptr, y_csc.indices, y_csc.data)
+        # keeps non-finite values: the Cholesky rejects them.  With G the
+        # split rows live in its factor, and no Y^T is kept.
+        y_csc = sp.csc_array(yt if s <= n else yt[:, :0])
+        Yt = CscMatrix(n, y_csc.shape[1], y_csc.indptr, y_csc.indices, y_csc.data)
         del yt  # not held through the Cholesky
-        S_packed = dense_cholesky_factorize(lower, overwrite_s=True)
+        factor = dense_cholesky_factorize(lower, overwrite_s=True)
+        S_packed, G_packed = (factor, None) if s <= n else (np.zeros(0), factor)
 
     return RowSplitPreconditioner(
         factors=factors,
         s_mode=s_mode,
         Yt=Yt,
         S_packed=S_packed,
-        psize=_psize(factors, Yt),
+        psize=_psize(factors, Yt, G_packed),
+        G_packed=G_packed,
     )

@@ -274,11 +274,12 @@ def solve_quasi_square_direct(A: CscMatrix, b) -> np.ndarray:
     """Direct least-squares solution through a complete LU of the row split.
 
     Scales the columns, factorizes completely (no dropping), applies the
-    dense-S preconditioner to the permuted right-hand side, and
+    dense-mode preconditioner to the permuted right-hand side, and
     unscales; with complete factors that one application is the exact
-    least-squares solution.  Intended for matrices with few extra rows.
-    Raises ValueError when b has the wrong length or a non-finite entry
-    or when the coupling block exceeds DENSE_S_CAP, and LinAlgError when
+    least-squares solution.  With m > 2n the dense factor is that of
+    G = I + Y^T Y, of order n.  Raises ValueError when b has the wrong
+    length or a non-finite entry or when the coupling Gram's order
+    min(m - n, n) exceeds DENSE_S_CAP, and LinAlgError when
     the factorization needed a pivot modification (rank deficiency).
     """
     b = np.asarray(b, dtype=np.float64)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dtpttr
 
 from rowsplit import CscMatrix
@@ -75,8 +76,52 @@ def unpack_lower(packed, s):
 
 
 def s_factor(pre):
-    """A dense-S preconditioner's lower Cholesky factor of S as an s x s array."""
-    return unpack_lower(pre.S_packed, pre.split_rows)
+    """A dense-mode preconditioner's lower Cholesky factor of S as a k x k array.
+
+    k = Yt.ncols: all split rows beside S, or past a G factor the rows
+    folded since the build, whose factor is that of S_F = I + F F^T.
+    """
+    return unpack_lower(pre.S_packed, pre.Yt.ncols)
+
+
+def g_factor(pre):
+    """A dense-mode preconditioner's lower Cholesky factor of G = I + Y^T Y as an n x n array."""
+    return unpack_lower(pre.G_packed, pre.n)
+
+
+def coupling_gram(pre):
+    """I + Y^T Y (n x n) as a dense-mode object holds it.
+
+    Yt holds Y^T beside S, or F^T = L_G^{-1} Y_b^T for the rows folded
+    onto a G factor, so the Gram is M (I + Yt Yt^T) M^T with M = I or L_G.
+    """
+    yt = pre.Yt.to_dense()
+    gram = np.eye(pre.n) + yt @ yt.T
+    if pre.G_packed is None:
+        return gram
+    L = g_factor(pre)
+    return L @ gram @ L.T
+
+
+def dense_factors(f):
+    """(L1 with its unit diagonal, L2, U) of IlupFactors as dense float64 arrays."""
+    return f.L1.to_dense() + np.eye(f.ncols), f.L2.to_dense(), f.U.to_dense()
+
+
+def s_formula_float64(L1, L2, U, r1, r2):
+    """The S-form operator U^{-1} L1^{-1} (r1 + Y^T S^{-1} (r2 - Y r1)) in float64.
+
+    Y = L2 L1^{-1} and S = I + Y Y^T are formed densely and S is solved
+    by scipy's Cholesky: the float64 evaluation that the dense-mode apply
+    is held to.  L1 carries its unit diagonal; r1 and r2 may hold several
+    right-hand sides as columns.
+    """
+    Y = solve_triangular(L1, L2.T, lower=True, unit_diagonal=True, trans="T").T
+    y = np.asarray(r1, dtype=np.float64)
+    if len(r2):
+        S = np.eye(len(r2)) + Y @ Y.T
+        y = y + Y.T @ cho_solve(cho_factor(S, lower=True), r2 - Y @ y)
+    return solve_triangular(U, solve_triangular(L1, y, lower=True, unit_diagonal=True))
 
 
 def rel_err(got, want):

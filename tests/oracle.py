@@ -103,6 +103,50 @@ def dense_woodbury_correction(A1, A2, r1, r2) -> np.ndarray:
     return delta
 
 
+def dense_rowsplit_apply(L1, L2, U, r1, r2) -> np.ndarray:
+    """U^{-1} (L1^T L1 + L2^T L2)^{-1} (L1^T r1 + L2^T r2), evaluated as written.
+
+    The row-splitting preconditioner's operator on the factors P A ~
+    (L1; L2) U: L1 unit lower triangular with its unit diagonal stored,
+    L2 the remaining rows and U upper triangular, all dense.  r1 and r2
+    may hold several right-hand sides as columns.  The arithmetic runs in
+    the arguments' own dtype, so long double arguments give an
+    extended-precision reference.  numpy.linalg takes no long double, so
+    the normal matrix is summed from the outer products of the rows of
+    (L1; L2), each over its nonzeros, and solved by a Cholesky
+    factorization and substitutions written out here.  Cost O(n^3); there
+    is no size cap.
+    """
+    L1, L2, U, r1, r2 = (np.asarray(v) for v in (L1, L2, U, r1, r2))
+    dtype = np.result_type(L1, L2, U, r1, r2, np.float64)
+    L1, L2, U, r1, r2 = (v.astype(dtype) for v in (L1, L2, U, r1, r2))
+    n = U.shape[1]
+    if L1.shape != (n, n) or U.shape != (n, n) or L2.shape[1:] != (n,):
+        raise ValueError("factor shapes do not match")
+    if r1.shape[:1] != (n,) or r2.shape[:1] != (L2.shape[0],) or r1.shape[1:] != r2.shape[1:]:
+        raise ValueError("residual component lengths do not match the factors")
+
+    C = np.zeros((n, n), dtype=dtype)  # K = L1^T L1 + L2^T L2, then its Cholesky factor
+    for row in np.vstack([L1, L2]):
+        nz = np.flatnonzero(row)
+        C[np.ix_(nz, nz)] += np.outer(row[nz], row[nz])
+    for j in range(n):
+        if not C[j, j] > 0.0:
+            raise np.linalg.LinAlgError("normal matrix is not positive definite")
+        C[j:, j] /= np.sqrt(C[j, j])
+        C[j + 1:, j + 1:] -= np.outer(C[j + 1:, j], C[j + 1:, j])
+    x = L1.T @ r1 + L2.T @ r2
+    for j in range(n):  # x <- C^{-1} x
+        x[j] /= C[j, j]
+        x[j + 1:] -= np.multiply.outer(C[j + 1:, j], x[j])
+    for j in range(n - 1, -1, -1):  # x <- C^{-T} x
+        x[j] = (x[j] - C[j + 1:, j] @ x[j + 1:]) / C[j, j]
+    for j in range(n - 1, -1, -1):  # x <- U^{-1} x
+        x[j] /= U[j, j]
+        x[:j] -= np.multiply.outer(U[:j, j], x[j])
+    return x
+
+
 def dense_ilup(a, params):
     """Threshold-pivoting incomplete LU with dual dropping, on dense arrays.
 

@@ -115,7 +115,8 @@ def test_solve_rejects_file_without_entries(tmp_path, capfd):
         assert err == ""
 
 
-def test_dense_cap_falls_back_to_inner_cg(small_mtx, monkeypatch, caplog):
+def test_dense_cap_falls_back_to_inner_cg(small_mtx, tmp_path, monkeypatch, caplog):
+    """The cap bounds the factored Gram's order min(s, n), as in build_preconditioner."""
     monkeypatch.setattr(precond, "DENSE_S_CAP", 1)
     with caplog.at_level(logging.WARNING, logger="rowsplit"):
         rec = run_single(RunConfig(matrix_path=small_mtx, s_mode="dense"))
@@ -123,7 +124,24 @@ def test_dense_cap_falls_back_to_inner_cg(small_mtx, monkeypatch, caplog):
     assert rec["converged"] is True
     [warning] = [r for r in caplog.records if r.name == "rowsplit"]
     assert warning.levelno == logging.WARNING
-    assert "exceeds dense cap 1; falling back to inner CG" in warning.getMessage()
+    assert "order 5 exceeds dense cap 1; falling back to inner CG" in warning.getMessage()
+
+    # s = 16 > cap >= n = 4: G of order 4 is factored dense, with no warning
+    rng = np.random.default_rng(1)
+    tall = tmp_path / "tall.mtx"
+    a = rng.standard_normal((20, 4))
+    with open(tall, "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n20 4 80\n")
+        fh.writelines(f"{i + 1} {j + 1} {a[i, j]:.17g}\n" for i in range(20) for j in range(4))
+    caplog.clear()
+    for cap, mode in [(4, "dense"), (3, "cg")]:
+        monkeypatch.setattr(precond, "DENSE_S_CAP", cap)
+        with caplog.at_level(logging.WARNING, logger="rowsplit"):
+            rec = run_single(RunConfig(matrix_path=str(tall), s_mode="dense"))
+        assert rec["params"]["s_mode"] == mode
+        assert rec["converged"] is True
+    [warning] = [r for r in caplog.records if r.name == "rowsplit"]
+    assert "order 4 exceeds dense cap 3" in warning.getMessage()
 
 
 def test_human_and_csv_formats(identity_mtx, capsys):

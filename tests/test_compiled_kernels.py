@@ -27,7 +27,17 @@ from rowsplit.sparse_core import (
     sparse_upper_solve_transpose,
 )
 
-from conftest import csc, rel_err, require_matrix, s_factor, well_conditioned_split
+from oracle import dense_rowsplit_apply
+
+from conftest import (
+    csc,
+    dense_factors,
+    g_factor,
+    rel_err,
+    require_matrix,
+    s_formula_float64,
+    well_conditioned_split,
+)
 
 # (solve, lower, transposed); the lower solves take an implicit unit diagonal
 SOLVES = {
@@ -126,36 +136,35 @@ def _backward(U, b, unit):
 
 
 def dense_apply(pre, r1, r2):
-    """The dense-S preconditioner's formula evaluated densely in extended precision.
+    """The dense G route's formula evaluated densely in extended precision.
 
-    The factors, Y and the Cholesky factor of S are the preconditioner's
-    own.  On illc1850 the U and L1 solves together amplify a relative
-    change of their input by up to about 1e7 and S^{-1} by 1.6e6, so any
-    float64 evaluation is a few 1e-12 from the exact value from rounding
-    alone; in extended precision the reference error is far below that.
+    h = U^{-1} L1^{-1} L_G^{-T} L_G^{-1} (r1 + L1^{-T} L2^T r2), for a G
+    factor that holds every split row.  The factors and the Cholesky
+    factor L_G of G = I + Y^T Y are the preconditioner's own.  On
+    illc1850 the U and L1 solves together amplify a relative change of
+    their input by up to about 1e7 and the coupling solve by 1.6e6, so
+    any float64 evaluation is a few 1e-12 from the exact value from
+    rounding alone; in extended precision the reference error is far
+    below that.
     """
     f = pre.factors
     L1 = f.L1.to_dense().astype(LD)  # unit diagonal implicit
-    y = np.asarray(r1, dtype=LD)
-    Y = pre.Yt.to_dense().T.astype(LD)
-    G = s_factor(pre).astype(LD)
-    y = y + Y.T @ _backward(G.T, _forward(G, r2 - Y @ y, unit=False), unit=False)
+    G = g_factor(pre).astype(LD)
+    yt_r2 = _backward(L1.T, f.L2.to_dense().astype(LD).T @ np.asarray(r2, dtype=LD), unit=True)
+    y = _backward(G.T, _forward(G, r1 + yt_r2, unit=False), unit=False)
     v = _forward(L1, y, unit=True)
     return _backward(f.U.to_dense().astype(LD), v, unit=False)
 
 
 def dense_apply_float64(pre, r1, r2):
     """The same formula on the same factors with float64 scipy.linalg calls."""
-    f = pre.factors
-    L1 = f.L1.to_dense() + np.eye(pre.n)
+    L1, L2, U = dense_factors(pre.factors)
 
     def l1_solve(b, trans="N"):
         return scipy.linalg.solve_triangular(L1, b, lower=True, unit_diagonal=True, trans=trans)
 
-    y = np.asarray(r1, dtype=np.float64)
-    Y = pre.Yt.to_dense().T
-    y = y + Y.T @ scipy.linalg.cho_solve((s_factor(pre), True), r2 - Y @ y)
-    return scipy.linalg.solve_triangular(f.U.to_dense(), l1_solve(y), lower=False)
+    y = scipy.linalg.cho_solve((g_factor(pre), True), r1 + l1_solve(L2.T @ r2, trans="T"))
+    return scipy.linalg.solve_triangular(U, l1_solve(y), lower=False)
 
 
 def inner_cg_apply(pre, r1, r2):
@@ -209,29 +218,43 @@ def illc1850_factors():
 def test_apply_on_illc1850_matches_dense_reference(illc1850_factors, s_mode):
     """The compiled apply is close to an extended-precision evaluation.
 
-    Both S modes are measured against the same formula on the same
+    Both modes are measured against their own formula on the same
     factors in extended precision, over several right-hand sides, since
     one rounding sample alone says little at a conditioning of about
-    1e13.  Dense S: the worst compiled error may be at most twice the
-    worst error of a float64 dense evaluation.  Inner CG: the worst
-    relative error may be at most 1e-12.
+    1e13.  Dense mode (s = 1,138 > n = 712, so G is factored): the worst
+    compiled error may be at most twice the worst error of a float64
+    dense evaluation of the G formula.  The same apply is also held to
+    the operator, U^{-1} (L1^T L1 + L2^T L2)^{-1} (L1^T r1 + L2^T r2) in
+    extended precision: its worst error may be at most twice that of a
+    float64 dense evaluation of the S form.  Inner CG: the worst relative
+    error may be at most 1e-12.
     """
     pre = build_preconditioner(illc1850_factors, s_mode=s_mode)
+    rngs = (np.random.default_rng(seed) for seed in [*range(10), 1850])
+    rhs = [(rng.standard_normal(pre.n), rng.standard_normal(pre.split_rows)) for rng in rngs]
     worst_apply = worst_dense = 0.0
-    for seed in [*range(10), 1850]:
-        rng = np.random.default_rng(seed)
-        r1 = rng.standard_normal(pre.n)
-        r2 = rng.standard_normal(pre.split_rows)
+    for r1, r2 in rhs:
         if s_mode is SMode.DENSE_FACTOR:
             want = dense_apply(pre, r1, r2)
             worst_dense = max(worst_dense, rel_err(dense_apply_float64(pre, r1, r2), want))
         else:
             want = inner_cg_apply(pre, r1, r2)
         worst_apply = max(worst_apply, rel_err(pre.apply(r1, r2), want))
-    if s_mode is SMode.DENSE_FACTOR:
-        assert worst_apply <= 2.0 * worst_dense, (worst_apply, worst_dense)
-    else:
+    if s_mode is SMode.INNER_CG:
         assert worst_apply <= 1e-12, worst_apply
+        return
+    assert pre.G_packed is not None
+    assert worst_apply <= 2.0 * worst_dense, (worst_apply, worst_dense)
+
+    L1, L2, U = dense_factors(pre.factors)
+    r1s, r2s = (np.column_stack(r) for r in zip(*rhs))
+    want = dense_rowsplit_apply(*(v.astype(LD) for v in (L1, L2, U, r1s, r2s)))
+    s_form = s_formula_float64(L1, L2, U, r1s, r2s)
+    worst_op = worst_s_form = 0.0
+    for j, (r1, r2) in enumerate(rhs):
+        worst_op = max(worst_op, rel_err(pre.apply(r1, r2), want[:, j]))
+        worst_s_form = max(worst_s_form, rel_err(s_form[:, j], want[:, j]))
+    assert worst_op <= 2.0 * worst_s_form, (worst_op, worst_s_form)
 
 
 def test_concurrent_first_applies_match_serial():

@@ -30,7 +30,7 @@ from oracle import dense_lls_solve, dense_lu_pp, dense_woodbury_correction
 from rowsplit import precond
 from rowsplit.precond import UpdateFailedError
 
-from conftest import check_csc, csc, validate_factors
+from conftest import check_csc, csc, rel_err, validate_factors
 
 
 def test_upper_transpose_solve_missing_diagonal():
@@ -187,9 +187,19 @@ def test_quasi_square_input_checks(monkeypatch):
         solve_quasi_square_direct(A, np.array([1.0, 0.0, np.nan, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="non-finite"):
         solve_quasi_square_direct(A, np.array([1.0, 0.0, 0.0, np.inf, 0.0, 0.0]))
+    # the cap bounds the Gram's order min(m - n, n): 2 here
     monkeypatch.setattr(precond, "DENSE_S_CAP", 1)
-    with pytest.raises(ValueError, match="dense cap"):
+    with pytest.raises(ValueError, match="order 2 exceeds the dense cap 1"):
         solve_quasi_square_direct(A, np.ones(6))
+    # m - n = 8 > cap >= n = 4: G of order 4 is factored dense
+    tall = rng.standard_normal((12, 4))
+    b = rng.uniform(-1.0, 1.0, 12)
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 4)
+    x = solve_quasi_square_direct(csc(tall), b)
+    assert rel_err(x, dense_lls_solve(tall, b).x_true) <= 1e-9
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 3)
+    with pytest.raises(ValueError, match="order 4 exceeds the dense cap 3"):
+        solve_quasi_square_direct(csc(tall), b)
 
 
 def test_oracle_size_caps_and_checks():

@@ -22,11 +22,22 @@ from rowsplit import (
 )
 from rowsplit.precond import build_y_explicit
 from rowsplit.sparse_core import Permutation, sparse_lower_solve, sparse_upper_solve
-from oracle import dense_lls_solve, dense_woodbury_correction
+from oracle import dense_lls_solve, dense_rowsplit_apply, dense_woodbury_correction
 from rowsplit import precond
 from rowsplit.precond import _gram_plus_identity
 
-from conftest import check_csc, csc, laauchli, rel_err, s_factor, well_conditioned_split
+from conftest import (
+    check_csc,
+    coupling_gram,
+    csc,
+    dense_factors,
+    g_factor,
+    laauchli,
+    rel_err,
+    s_factor,
+    s_formula_float64,
+    well_conditioned_split,
+)
 
 
 def hand_factors(L2_dense, n=None):
@@ -103,14 +114,25 @@ def random_unit_lower_factors(rng, n, s, density):
 @example(n=8, s=10, density=0.0, seed=1)
 @example(n=20, s=12, density=0.6, seed=2)
 def test_y_build_equals_l2_times_inverse_l1(n, s, density, seed):
-    """Y = L2 L1^{-1}, including empty L2 rows and an empty L2; the stored Y is its sparse copy."""
+    """Y = L2 L1^{-1}, including empty L2 rows and an empty L2.
+
+    With s <= n the dense build stores Y as its sparse copy beside S.
+    With s > n it stores none (Yt is n x 0) and factors G = I + Y^T Y.
+    """
     f = random_unit_lower_factors(np.random.default_rng(seed), n, s, density)
     yt = build_y_explicit(f)
     assert yt.shape == (n, s)
     want = f.L2.to_dense() @ np.linalg.inv(f.L1.to_dense() + np.eye(n))
     assert rel_err(yt.T, want) <= 1e-12
-    Yt = check_csc(build_preconditioner(f, s_mode=SMode.DENSE_FACTOR).Yt)
-    assert_array_equal(Yt.to_dense(), yt)
+    pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
+    Yt = check_csc(pre.Yt)
+    if s <= n:
+        assert pre.G_packed is None
+        assert_array_equal(Yt.to_dense(), yt)
+    else:
+        assert Yt.ncols == 0 and pre.S_packed.shape == (0,)
+        L = g_factor(pre)
+        assert rel_err(L @ L.T, np.eye(n) + yt @ yt.T) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +154,11 @@ def test_y_apply_hand_case():
 
 
 def test_y_modes_agree():
-    # stored Y (dense S) against solves through the factors (inner-CG S)
+    """Stored Y (dense S, s <= n) against solves through the factors (inner CG).
+
+    With s > n the dense build stores no Y: its G factor must then match
+    I + Y^T Y with Y applied through the factors.
+    """
     rng = np.random.default_rng(3)
     for _ in range(10):
         n, s = int(rng.integers(3, 12)), int(rng.integers(1, 7))
@@ -140,6 +166,12 @@ def test_y_modes_agree():
         pe = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
         pi = build_preconditioner(f, s_mode=SMode.INNER_CG)
         assert pe.Yt is not None and pi.Yt is None
+        if s > n:
+            assert pe.Yt.ncols == 0
+            Y = np.column_stack([pi.y_apply(e) for e in np.eye(n)])
+            L = g_factor(pe)
+            assert rel_err(L @ L.T, np.eye(n) + Y.T @ Y) <= 1e-13
+            continue
         r1 = rng.standard_normal(n)
         w = rng.standard_normal(s)
         assert rel_err(pi.y_apply(r1), pe.y_apply(r1)) <= 1e-13
@@ -166,16 +198,22 @@ def test_s_matvec_hand_case():
 
 
 def test_s_matvec_matches_dense_gram():
+    """The assembled Gram's product against Y applied through the factors:
+    S v = v + Y Y^T v when s <= n, G v = v + Y^T Y v when s > n."""
     rng = np.random.default_rng(4)
     for _ in range(10):
         n, s = int(rng.integers(3, 12)), int(rng.integers(1, 8))
         f = factored(rng.standard_normal((n + s, n)), p=5)
-        pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-        low = _gram_plus_identity(pre.Yt.to_dense())
-        v = rng.standard_normal(s)
+        low = _gram_plus_identity(build_y_explicit(f))
+        assert low.shape == (min(s, n),) * 2
+        v = rng.standard_normal(min(s, n))
         want = (low + np.tril(low, -1).T) @ v
         inner = build_preconditioner(f, s_mode=SMode.INNER_CG)
-        assert rel_err(v + inner.y_apply(inner.y_apply_transpose(v)), want) <= 1e-13
+        if s <= n:
+            got = v + inner.y_apply(inner.y_apply_transpose(v))
+        else:
+            got = v + inner.y_apply_transpose(inner.y_apply(v))
+        assert rel_err(got, want) <= 1e-13
 
 
 def test_assemble_s_trivial_cases():
@@ -225,14 +263,23 @@ def test_assemble_s_matches_dense_gram():
 
 
 def test_dense_mode_respects_cap(monkeypatch):
+    """The cap bounds the order min(s, n) of the Gram that is factored."""
     rng = np.random.default_rng(6)
-    f = factored(rng.standard_normal((10, 4)))
-    monkeypatch.setattr(precond, "DENSE_S_CAP", 6)
-    build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-    monkeypatch.setattr(precond, "DENSE_S_CAP", 5)
-    with pytest.raises(ValueError, match="dense cap 5"):
-        build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
-    build_preconditioner(f, s_mode=SMode.INNER_CG)
+    wide = factored(rng.standard_normal((6, 4)))  # s = 2 <= n = 4: S of order 2
+    tall = factored(rng.standard_normal((10, 4)))  # s = 6 > n = 4: G of order 4
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 2)
+    assert build_preconditioner(wide, s_mode=SMode.DENSE_FACTOR).G_packed is None
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 1)
+    with pytest.raises(ValueError, match="dense cap 1"):
+        build_preconditioner(wide, s_mode=SMode.DENSE_FACTOR)
+    # s > cap >= n builds dense
+    for cap in (5, 4):
+        monkeypatch.setattr(precond, "DENSE_S_CAP", cap)
+        assert build_preconditioner(tall, s_mode=SMode.DENSE_FACTOR).G_packed is not None
+    monkeypatch.setattr(precond, "DENSE_S_CAP", 3)
+    with pytest.raises(ValueError, match="order 4 exceeds the dense cap 3"):
+        build_preconditioner(tall, s_mode=SMode.DENSE_FACTOR)
+    build_preconditioner(tall, s_mode=SMode.INNER_CG)
 
 
 def test_psize_accounting():
@@ -336,6 +383,67 @@ def test_inner_cg_limit_matches_dense_factor(monkeypatch):
         assert rel_err(hb, ha) <= 1e-8
 
 
+def operator_error_and_bound(pre, r1, r2):
+    """Worst error of a dense-mode apply against the operator, and its bound.
+
+    r1 and r2 hold right-hand sides as columns.  The error is measured
+    against a long-double evaluation of oracle.dense_rowsplit_apply on the
+    preconditioner's own factors.  The bound is twice the largest of:
+    - the worst error of s_formula_float64, a float64 dense evaluation of
+      the S form;
+    - 1e-12: below that, on a handful of columns, both errors are rounding
+      noise whose ratio says nothing (the S-form apply, which the G route
+      leaves as it was, is over twice the dense error on 102 of 684 S-route
+      draws of test_dense_apply_matches_rowsplit_operator's distribution);
+    - (n + s) eps (1 + ||Y||^2): 1 + ||Y||^2 bounds the condition number
+      of S and of G, and the bordered factor of a fold loses accuracy as
+      that grows.
+    """
+    L1, L2, U = dense_factors(pre.factors)
+    want = dense_rowsplit_apply(*(v.astype(np.longdouble) for v in (L1, L2, U, r1, r2)))
+    dense = s_formula_float64(L1, L2, U, r1, r2)
+    worst_apply = worst_dense = 0.0
+    for j in range(r1.shape[1]):
+        worst_apply = max(worst_apply, rel_err(pre.apply(r1[:, j], r2[:, j]), want[:, j]))
+        worst_dense = max(worst_dense, rel_err(dense[:, j], want[:, j]))
+    Y = solve_triangular(L1, L2.T, lower=True, unit_diagonal=True, trans="T").T
+    kappa = 1.0 + (np.linalg.norm(Y, 2) ** 2 if Y.size else 0.0)
+    eps = np.finfo(np.float64).eps
+    floor = (pre.n + pre.split_rows) * eps * kappa
+    return worst_apply, 2.0 * max(worst_dense, 1e-12, floor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    s_frac=st.floats(0.0, 1.0),
+    folds=st.integers(0, 3),
+    p=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, s_frac=0.0, folds=0, p=12, seed=0)  # no split rows
+@example(n=3, s_frac=1.0, folds=3, p=12, seed=1)  # s = 2n + 2 with folds onto G
+@example(n=4, s_frac=0.5, folds=2, p=2, seed=2)  # s = n: the largest S
+def test_dense_apply_matches_rowsplit_operator(n, s_frac, folds, p, seed):
+    """The dense apply is U^{-1} (L1^T L1 + L2^T L2)^{-1} (L1^T r1 + L2^T r2).
+
+    s is drawn on both sides of n (0 <= s <= 2n + 2), with 0-3 folds.
+    Over four right-hand sides, the worst error against a long-double
+    evaluation of the operator is at most twice that of a float64 dense
+    evaluation of the S form, r1 + Y^T S^{-1} (r2 - Y r1), above the
+    floors of operator_error_and_bound.
+    """
+    rng = np.random.default_rng(seed)
+    s = round(s_frac * (2 * n + 2))
+    pre = build_preconditioner(factored(rng.standard_normal((n + s, n)), p=p), SMode.DENSE_FACTOR)
+    assert (pre.G_packed is not None) == (s > n)
+    for _ in range(folds):
+        pre = pre.add_row(*random_row(rng, n))
+    r1, r2 = rng.standard_normal((n, 4)), rng.standard_normal((pre.split_rows, 4))
+    worst, bound = operator_error_and_bound(pre, r1, r2)
+    assert worst <= bound, (worst, bound)
+
+
 # ---------------------------------------------------------------------------
 # row updates
 # ---------------------------------------------------------------------------
@@ -396,6 +504,13 @@ def test_add_duplicate_row_matches_augmented_lls():
 
 
 def test_add_row_incremental_matches_rebuild():
+    """A fold and a rebuild hold the same coupling Gram and apply the same.
+
+    A fold keeps the route its object was built with; a rebuild takes the
+    route of the grown split.  psize counts what each stores: the factors,
+    the entries of Yt and the triangle of its S factor, plus the triangle
+    of L_G when there is one.
+    """
     rng = np.random.default_rng(18)
     for _ in range(10):
         n = int(rng.integers(3, 9))
@@ -408,13 +523,16 @@ def test_add_row_incremental_matches_rebuild():
         pre2 = pre.add_row(pat, row[pat])
         # rebuild from scratch out of the updated trapezoidal factor
         rebuilt = build_preconditioner(pre2.factors, s_mode=SMode.DENSE_FACTOR)
-        S_inc = _gram_plus_identity(pre2.Yt.to_dense())
-        S_reb = _gram_plus_identity(rebuilt.Yt.to_dense())
-        assert rel_err(S_inc, S_reb) <= 1e-12
+        assert rel_err(coupling_gram(pre2), coupling_gram(rebuilt)) <= 1e-12
         r1 = rng.standard_normal(n)
         r2 = rng.standard_normal(m - n + 1)
         assert rel_err(pre2.apply(r1, r2), rebuilt.apply(r1, r2)) <= 1e-11
-        assert pre2.psize == rebuilt.psize
+        g, tri = pre2.factors, precond._tri
+        stored = g.L1.nnz + g.L2.nnz + g.U.nnz
+        k = pre2.Yt.ncols  # m - n + 1, or 1 past a G factor
+        assert pre2.psize == stored + pre2.Yt.nnz + tri(k) + (tri(n) if m - n > n else 0)
+        want = stored + (rebuilt.Yt.nnz + tri(m - n + 1) if m - n + 1 <= n else tri(n))
+        assert rebuilt.psize == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,8 +542,16 @@ def test_add_row_incremental_matches_rebuild():
     s_mode=st.sampled_from([SMode.DENSE_FACTOR, SMode.INNER_CG]),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(n=1, s=0, s_mode=SMode.DENSE_FACTOR, seed=7)  # the folds' S form is 1.6e-9 off
 def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
-    """Three successive folds equal a fresh build on the extended factors."""
+    """Three successive folds equal a fresh build on the extended factors.
+
+    When the rebuild factors G it applies the operator another way than
+    the folds: then each of the two is held to the operator instead
+    (operator_error_and_bound).  Past an ill-conditioned S the
+    S form is far from the operator, and the old agreement of fold and
+    rebuild only held because both ran the same S-form arithmetic.
+    """
     rng = np.random.default_rng(seed)
     pre = build_preconditioner(factored(rng.standard_normal((n + s, n))), s_mode)
     for _ in range(3):
@@ -434,11 +560,20 @@ def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
         pre = pre.add_row(pat, row[pat])
     rebuilt = build_preconditioner(pre.factors, s_mode)
     assert (pre.Yt is None) == (rebuilt.Yt is None) == (s_mode is SMode.INNER_CG)
-    if s_mode is SMode.DENSE_FACTOR:
+    if s_mode is SMode.DENSE_FACTOR and s + 3 <= n:  # both store Y^T beside S
         assert_array_equal(pre.Yt.col_ptr, rebuilt.Yt.col_ptr)
         assert_array_equal(pre.Yt.row_idx, rebuilt.Yt.row_idx)
+    elif s_mode is SMode.DENSE_FACTOR:  # the rebuild factors G and stores no Y
+        assert rebuilt.Yt.ncols == 0 and rebuilt.G_packed is not None
+        # the folds are F's columns past a built G, else Y^T's
+        assert pre.Yt.ncols == (3 if s > n else s + 3)
     r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 3)
-    assert rel_err(pre.apply(r1, r2), rebuilt.apply(r1, r2)) <= 1e-10
+    if s_mode is SMode.INNER_CG or rebuilt.G_packed is None:
+        assert rel_err(pre.apply(r1, r2), rebuilt.apply(r1, r2)) <= 1e-10
+    else:
+        for obj in (pre, rebuilt):
+            worst, bound = operator_error_and_bound(obj, r1[:, None], r2[:, None])
+            assert worst <= bound, (worst, bound)
 
 
 def test_add_row_accepted_for_inner_cg():
@@ -522,15 +657,17 @@ def test_bordered_pivot_does_not_cancel():
        seed=st.integers(0, 2**32 - 1))
 def test_folded_factor_matches_coupling_matrix(n, s, k, seed):
     """After k folds L L^T = I + Y Y^T, through rows of very different size
-    and past the room of the first copy (FOLD_ROOM rows)."""
+    and past the room of the first copy (FOLD_ROOM rows).  Past a G factor
+    (s > n) the folds build L L^T = I + F F^T over the k folded rows."""
     rng = np.random.default_rng(seed)
     pre = build_preconditioner(factored(rng.standard_normal((n + s, n))), SMode.DENSE_FACTOR)
     for _ in range(k):
         pat, vals = random_row(rng, n)
         pre = pre.add_row(pat, vals * 10.0 ** rng.integers(-4, 9))
     L, yt = s_factor(pre), pre.Yt.to_dense()
-    want = np.eye(s + k) + yt.T @ yt
-    assert L.shape == (s + k, s + k)
+    order = k if s > n else s + k
+    want = np.eye(order) + yt.T @ yt
+    assert L.shape == (order, order)
     assert rel_err(L @ L.T, want) <= 1e-12
 
 

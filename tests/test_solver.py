@@ -367,10 +367,17 @@ def test_quasi_square_laauchli():
 
 
 def test_quasi_square_random():
+    """Few extra rows (S factored), then m >= 2n (G factored once m > 2n)."""
     rng = np.random.default_rng(13)
     for _ in range(5):
         n = int(rng.integers(4, 25))
         m = n + int(rng.integers(1, 5))
+        a = rng.standard_normal((m, n))
+        b = rng.uniform(-1, 1, m)
+        x = solve_quasi_square_direct(csc(a), b)
+        want = dense_lls_solve(a, b).x_true
+        assert rel_err(x, want) <= 1e-9
+    for n, m in [(4, 8), (4, 9), (7, 20), (12, 40), (20, 41), (3, 30)]:
         a = rng.standard_normal((m, n))
         b = rng.uniform(-1, 1, m)
         x = solve_quasi_square_direct(csc(a), b)
