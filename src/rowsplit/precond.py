@@ -51,10 +51,13 @@ class UpdateFailedError(RuntimeError):
 
 
 # Largest coupling Gram assembled and factorized dense, by its order
-# min(s, n) (see coupling_gram_order).  At the cap the stored factor,
-# packed, takes 1.6 GB; the build also holds the Gram itself (3.2 GB),
-# which it factorizes in place, so it peaks at about 4.8 GB, plus the
-# dense n x s array Y^T while the Gram is formed from it.
+# min(s, n) (see coupling_gram_order).  At the cap the Gram takes 3.2 GB,
+# factorized in place, and its packed factor 1.6 GB.  While the Gram is
+# formed the build also holds L2 densified and the dense Y^T: n x s each
+# for S (s <= n), whose Y^T is then kept, sparse; for G, n x n blocks of
+# each, one block of n split rows at a time, beside a copy of L2 by rows
+# (see _coupling_gram).  So a G build peaks near three Grams, 9.6 GB at
+# the cap, plus the size of L2, however large s is.
 DENSE_S_CAP = 20000
 
 # Conjugate-gradient steps of each inner-CG coupling solve; the count is
@@ -73,13 +76,15 @@ HALF_DIGITS = float(np.sqrt(np.finfo(np.float64).eps))
 FOLD_ROOM = 32
 
 
-def build_y_explicit(factors: IlupFactors) -> np.ndarray:
-    """Y^T = L1^{-T} L2^T as a dense n x (m-n) array.
+def build_y_explicit(factors: IlupFactors, rows=None) -> np.ndarray:
+    """Y^T = L1^{-T} L2^T as a dense n x (m-n) array, or its columns for some rows of L2.
 
     One block solve of L1^T Y^T = L2^T through the cached L1 factor, with
-    all of L2^T densified as the right-hand sides.
+    all of L2^T densified as the right-hand sides; rows, a scipy sparse
+    block of L2's rows, takes the place of L2.
     """
-    return sparse_lower_solve_transpose(factors.L1, factors.L2.to_dense().T)
+    l2 = factors.L2.to_dense() if rows is None else rows.toarray()
+    return sparse_lower_solve_transpose(factors.L1, l2.T)
 
 
 def coupling_gram_order(factors: IlupFactors) -> int:
@@ -87,22 +92,35 @@ def coupling_gram_order(factors: IlupFactors) -> int:
     return min(factors.L2.nrows, factors.ncols)
 
 
-def _gram_plus_identity(yt: np.ndarray) -> np.ndarray:
-    """Lower triangle of the smaller coupling Gram from the dense Y^T (C order, zero above).
+def _coupling_gram(factors: IlupFactors) -> tuple[np.ndarray, CscMatrix]:
+    """Lower triangle of the Gram dense mode factors (C order, zero above), and the Y^T it keeps.
 
-    I + Y Y^T (order s) when Y^T (n x s) has s <= n, else I + Y^T Y
-    (order n).  dsyrk fills the upper triangle of a Fortran-order array;
-    its transpose is the lower triangle in C order, which
-    dense_cholesky_factorize factors in place.
+    With s <= n it is S = I + Y Y^T, from all of the dense Y^T, which is
+    kept as a sparse n x s matrix.  With s > n it is G = I + Y^T Y,
+    summed from the n x n slabs of Y^T that blocks of n rows of L2 solve
+    for, so the build holds G, one block and its slab whatever s is; no
+    Y^T is kept (n x 0).  dsyrk fills the upper triangle of a
+    Fortran-order array; its transpose is the lower triangle in C order,
+    which dense_cholesky_factorize factors in place.
     """
-    n, s = yt.shape
-    order = min(n, s)
-    if order == 0:
+    n, s = factors.ncols, factors.L2.nrows
+    if min(n, s) == 0:
         # BLAS dsyrk rejects a 0 x 0 output with a message on stderr
-        return np.zeros((0, 0))
-    g = dsyrk(1.0, yt, trans=int(s <= n), lower=0).T
-    g[np.diag_indices(order)] += 1.0
-    return g
+        return np.zeros((0, 0)), CscMatrix(n, 0, np.zeros(1), [], [])
+    if s <= n:
+        yt = build_y_explicit(factors)
+        g = dsyrk(1.0, yt, trans=1, lower=0)
+        y_csc = sp.csc_array(yt)  # keeps non-finite values: the Cholesky rejects them
+        Yt = CscMatrix(n, s, y_csc.indptr, y_csc.indices, y_csc.data)
+    else:
+        g = np.zeros((n, n), order="F")
+        rows = factors.L2._scipy().tocsr()
+        for i in range(0, s, n):
+            dsyrk(1.0, build_y_explicit(factors, rows[i:i + n]), beta=1.0, c=g, overwrite_c=1)
+        Yt = CscMatrix(n, 0, np.zeros(1), [], [])
+    lower = g.T
+    lower[np.diag_indices(len(lower))] += 1.0
+    return lower, Yt
 
 
 @dataclass(eq=False)
@@ -421,16 +439,12 @@ def build_preconditioner(
         order = coupling_gram_order(factors)
         if order > DENSE_S_CAP:
             raise ValueError(f"coupling Gram of order {order} exceeds the dense cap {DENSE_S_CAP}")
-        n, s = factors.ncols, factors.L2.nrows
-        yt = build_y_explicit(factors)
-        lower = _gram_plus_identity(yt)
-        # keeps non-finite values: the Cholesky rejects them.  With G the
-        # split rows live in its factor, and no Y^T is kept.
-        y_csc = sp.csc_array(yt if s <= n else yt[:, :0])
-        Yt = CscMatrix(n, y_csc.shape[1], y_csc.indptr, y_csc.indices, y_csc.data)
-        del yt  # not held through the Cholesky
+        lower, Yt = _coupling_gram(factors)
         factor = dense_cholesky_factorize(lower, overwrite_s=True)
-        S_packed, G_packed = (factor, None) if s <= n else (np.zeros(0), factor)
+        if factors.L2.nrows <= factors.ncols:
+            S_packed = factor
+        else:
+            S_packed, G_packed = np.zeros(0), factor
 
     return RowSplitPreconditioner(
         factors=factors,

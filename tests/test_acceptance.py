@@ -25,7 +25,7 @@ from rowsplit import (
 from rowsplit.cli import RunConfig, run_single
 from oracle import dense_lls_solve, dense_woodbury_correction
 from rowsplit import precond
-from rowsplit.precond import _gram_plus_identity, build_y_explicit
+from rowsplit.precond import _coupling_gram
 
 from conftest import coupling_gram, csc, g_factor, rel_err, require_matrix, well_conditioned_split
 
@@ -273,7 +273,7 @@ def test_criterion_09_mode_cross_equivalence(monkeypatch):
             worst_y = max(worst_y, rel_err(L @ L.T, np.eye(n) + Y.T @ Y))
 
         # the assembled Gram (S, or G when s > n) against its implicit product
-        low = _gram_plus_identity(build_y_explicit(f_drop))
+        low, _ = _coupling_gram(f_drop)
         v = w if s <= n else r1
         sv = (low + np.tril(low, -1).T) @ v
         if s <= n:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,21 +11,29 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsyrk
 
 from rowsplit import (
     CscMatrix,
     IlupFactors,
     IlupParams,
+    RowSplitPreconditioner,
     SMode,
     build_preconditioner,
     column_scale,
     ilup_factorize,
 )
 from rowsplit.precond import build_y_explicit
-from rowsplit.sparse_core import Permutation, sparse_lower_solve, sparse_upper_solve
+from rowsplit.sparse_core import (
+    Permutation,
+    dense_cholesky_factorize,
+    dense_lower_solve,
+    sparse_lower_solve,
+    sparse_upper_solve,
+)
 from oracle import dense_lls_solve, dense_rowsplit_apply, dense_woodbury_correction
 from rowsplit import precond
-from rowsplit.precond import _gram_plus_identity
+from rowsplit.precond import _coupling_gram
 
 from conftest import (
     check_csc,
@@ -204,7 +213,7 @@ def test_s_matvec_matches_dense_gram():
     for _ in range(10):
         n, s = int(rng.integers(3, 12)), int(rng.integers(1, 8))
         f = factored(rng.standard_normal((n + s, n)), p=5)
-        low = _gram_plus_identity(build_y_explicit(f))
+        low, _ = _coupling_gram(f)
         assert low.shape == (min(s, n),) * 2
         v = rng.standard_normal(min(s, n))
         want = (low + np.tril(low, -1).T) @ v
@@ -226,11 +235,12 @@ def test_assemble_s_trivial_cases():
         nmod=0,
     )
     pre = build_preconditioner(f0, s_mode=SMode.DENSE_FACTOR)
-    assert_array_equal(_gram_plus_identity(pre.Yt.to_dense()), np.eye(1))
+    assert_array_equal(_coupling_gram(f0)[0], np.eye(1))
     assert_array_equal(pre.S_packed, [1.0])
 
-    pre = build_preconditioner(hand_factors([[1.0, 1.0]]), s_mode=SMode.DENSE_FACTOR)
-    assert_array_equal(_gram_plus_identity(pre.Yt.to_dense()), [[3.0]])
+    f1 = hand_factors([[1.0, 1.0]])
+    pre = build_preconditioner(f1, s_mode=SMode.DENSE_FACTOR)
+    assert_array_equal(_coupling_gram(f1)[0], [[3.0]])
     assert_array_equal(pre.S_packed, [np.sqrt(3.0)])
 
 
@@ -250,7 +260,7 @@ def test_assemble_s_matches_dense_gram():
         pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
         yd = pre.Yt.to_dense().T
         want = np.eye(s) + yd @ yd.T
-        S = _gram_plus_identity(yd.T)
+        S, _ = _coupling_gram(f)
         # only the lower triangle is assembled; the Cholesky reads no more
         assert rel_err(S, np.tril(want)) <= 1e-13
         assert_array_equal(np.triu(S, 1), 0.0)
@@ -280,6 +290,33 @@ def test_dense_mode_respects_cap(monkeypatch):
     with pytest.raises(ValueError, match="order 4 exceeds the dense cap 3"):
         build_preconditioner(tall, s_mode=SMode.DENSE_FACTOR)
     build_preconditioner(tall, s_mode=SMode.INNER_CG)
+
+
+def test_g_build_holds_one_block_of_y(monkeypatch):
+    """With s > n the build forms G from blocks of n split rows, never all of Y^T.
+
+    s = 200 n split rows of one entry each, past a cap of n, take the G
+    route.  The build's tracemalloc peak, set by its copy of L2 by rows,
+    stays under a quarter of one dense n x s array: a build that formed
+    all of Y^T would hold that array and L2 densified beside it.  With
+    L1 = U = I, G = I + L2^T L2.
+    """
+    rng = np.random.default_rng(23)
+    n, s = 40, 8000
+    L2 = np.zeros((s, n))
+    L2[np.arange(s), rng.integers(0, n, s)] = rng.standard_normal(s)
+    f = hand_factors(L2)
+    monkeypatch.setattr(precond, "DENSE_S_CAP", n)
+    sparse_lower_solve(f.L1, np.zeros(n))  # caches the L1 solver outside the count
+    tracemalloc.start()
+    try:
+        pre = build_preconditioner(f, s_mode=SMode.DENSE_FACTOR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * s / 4
+    L = g_factor(pre)
+    assert rel_err(L @ L.T, np.eye(n) + L2.T @ L2) <= 1e-12
 
 
 def test_psize_accounting():
@@ -535,6 +572,27 @@ def test_add_row_incremental_matches_rebuild():
         assert rebuilt.psize == want
 
 
+def rebuild_on_route(pre):
+    """A dense build of a folded object's own route, with fresh Cholesky factors.
+
+    Without a G factor: Y^T of all split rows and the factor of
+    S = I + Y Y^T, as the build formed S before it chose G for s > n.
+    Past one: the same L_G, and F^T = L_G^{-1} Y^T for the rows folded
+    since, with the factor of S_F = I + F F^T.  The folds and this build
+    run the same apply arithmetic, so they agree to rounding however
+    ill-conditioned S is.
+    """
+    f, k = pre.factors, pre.Yt.ncols
+    yt = build_y_explicit(f)[:, pre.split_rows - k:]
+    if pre.G_packed is not None:
+        yt = np.column_stack([dense_lower_solve(pre.G_packed, col) for col in yt.T])
+    low = dsyrk(1.0, yt, trans=1, lower=0).T
+    low[np.diag_indices(k)] += 1.0
+    Yt = csc(yt)
+    return RowSplitPreconditioner(f, SMode.DENSE_FACTOR, Yt, dense_cholesky_factorize(low),
+                                  pre.psize, pre.G_packed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 10),
@@ -544,13 +602,12 @@ def test_add_row_incremental_matches_rebuild():
 )
 @example(n=1, s=0, s_mode=SMode.DENSE_FACTOR, seed=7)  # the folds' S form is 1.6e-9 off
 def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
-    """Three successive folds equal a fresh build on the extended factors.
+    """Three successive folds equal a fresh build of their route on the extended factors.
 
-    When the rebuild factors G it applies the operator another way than
-    the folds: then each of the two is held to the operator instead
-    (operator_error_and_bound).  Past an ill-conditioned S the
-    S form is far from the operator, and the old agreement of fold and
-    rebuild only held because both ran the same S-form arithmetic.
+    That build is the rebuild while both factor S (s + 3 <= n).  When the
+    rebuild factors G instead it applies the operator another way, so it
+    is held to the operator (operator_error_and_bound), and the folds to
+    rebuild_on_route.
     """
     rng = np.random.default_rng(seed)
     pre = build_preconditioner(factored(rng.standard_normal((n + s, n))), s_mode)
@@ -560,20 +617,19 @@ def test_three_add_rows_match_rebuild(n, s, s_mode, seed):
         pre = pre.add_row(pat, row[pat])
     rebuilt = build_preconditioner(pre.factors, s_mode)
     assert (pre.Yt is None) == (rebuilt.Yt is None) == (s_mode is SMode.INNER_CG)
-    if s_mode is SMode.DENSE_FACTOR and s + 3 <= n:  # both store Y^T beside S
-        assert_array_equal(pre.Yt.col_ptr, rebuilt.Yt.col_ptr)
-        assert_array_equal(pre.Yt.row_idx, rebuilt.Yt.row_idx)
-    elif s_mode is SMode.DENSE_FACTOR:  # the rebuild factors G and stores no Y
-        assert rebuilt.Yt.ncols == 0 and rebuilt.G_packed is not None
+    r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 3)
+    same_route = rebuilt
+    if rebuilt.G_packed is not None:  # s + 3 > n: the rebuild stores no Y
+        assert rebuilt.Yt.ncols == 0
         # the folds are F's columns past a built G, else Y^T's
         assert pre.Yt.ncols == (3 if s > n else s + 3)
-    r1, r2 = rng.standard_normal(n), rng.standard_normal(s + 3)
-    if s_mode is SMode.INNER_CG or rebuilt.G_packed is None:
-        assert rel_err(pre.apply(r1, r2), rebuilt.apply(r1, r2)) <= 1e-10
-    else:
-        for obj in (pre, rebuilt):
-            worst, bound = operator_error_and_bound(obj, r1[:, None], r2[:, None])
-            assert worst <= bound, (worst, bound)
+        worst, bound = operator_error_and_bound(rebuilt, r1[:, None], r2[:, None])
+        assert worst <= bound, (worst, bound)
+        same_route = rebuild_on_route(pre)
+    if s_mode is SMode.DENSE_FACTOR:
+        assert_array_equal(pre.Yt.col_ptr, same_route.Yt.col_ptr)
+        assert_array_equal(pre.Yt.row_idx, same_route.Yt.row_idx)
+    assert rel_err(pre.apply(r1, r2), same_route.apply(r1, r2)) <= 1e-10
 
 
 def test_add_row_accepted_for_inner_cg():
